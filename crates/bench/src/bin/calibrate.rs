@@ -6,7 +6,7 @@
 
 use itua_core::measures::{names, MeasureSet};
 use itua_core::params::{ManagementScheme, Params};
-use itua_runner::backend::{run_measures, BackendKind, ItuaBackend};
+use itua_runner::backend::{run_measures_checked, BackendKind, ItuaBackend, ModelCheck};
 use itua_runner::engine::RunnerConfig;
 use itua_runner::progress::NullProgress;
 
@@ -32,7 +32,7 @@ fn measure(p: Params, reps: u32, horizon: f64) -> MeasureSet {
     // threads, quick pre-simulation model check — estimates are
     // bit-identical for every thread count.
     let backend = ItuaBackend::for_params(BackendKind::Des, &p).unwrap();
-    run_measures(
+    run_measures_checked(
         &backend,
         reps,
         0.95,
@@ -41,6 +41,7 @@ fn measure(p: Params, reps: u32, horizon: f64) -> MeasureSet {
         &[horizon],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .unwrap()
 }

@@ -1,6 +1,6 @@
-//! The shared drive path behind the `itua` CLI and the legacy figure
-//! shims: resolve a scenario, fold its pinned settings into the CLI
-//! flags, optionally pre-flight the structural analyzer, run, print.
+//! The drive path behind the `itua` CLI: resolve a scenario, fold its
+//! pinned settings into the CLI flags, optionally pre-flight the
+//! structural analyzer, run, print.
 
 use crate::{check_models, FigureCli};
 use itua_analyzer::reach::{self, ReachConfig};
@@ -458,15 +458,6 @@ fn print_exhaustive_json(
     );
 }
 
-/// Entry point of the legacy figure binaries: each is now a shim that
-/// runs its built-in scenario with unchanged flags, output, and result
-/// stores.
-pub fn shim_main(name: &str) -> ! {
-    let cli = FigureCli::parse(std::env::args().skip(1));
-    let scenario = registry::find(name).expect("shim names a shipped scenario");
-    std::process::exit(run_scenario(scenario.as_ref(), &cli));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,7 +528,7 @@ mod tests {
             "assert = max(*/host_corrupt) <= 1\n\
              assert = sum(itua/apps[0]/*/has_started) <= 2\n",
         );
-        let mut cli = FigureCli::parse(Vec::<String>::new());
+        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
         cli.check_max_states = Some(200_000);
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
@@ -548,7 +539,7 @@ mod tests {
     #[test]
     fn exhaustive_check_rejects_budget_bad_globs_and_false_claims() {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
-        let mut cli = FigureCli::parse(Vec::<String>::new());
+        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
         cli.check_max_states = Some(200_000);
 
@@ -570,7 +561,7 @@ mod tests {
     fn structural_json_check_emits_exit_zero_on_clean_micro() {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let scenario = micro_scn(&dir, "structural.scn", "");
-        let mut cli = FigureCli::parse(Vec::<String>::new());
+        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
         cli.json = true;
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
     }

@@ -1,4 +1,4 @@
-//! Shared helpers for the figure-regeneration binaries and benchmarks.
+//! The `itua` CLI's flag parser and drive path, shared with the benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,14 +14,14 @@ use itua_runner::progress::{ConsoleProgress, NullProgress, Progress};
 use itua_studies::sweep::{RunOpts, SweepConfig, SweepPoint};
 use std::path::PathBuf;
 
-/// Parses the common CLI options of the figure binaries.
+/// The flags of `itua run` and `itua check`.
 ///
 /// Supported arguments:
 ///
 /// * `--backend des|san|analytic` — which backend runs the study: the
 ///   direct discrete-event simulator (default), the composed stochastic
 ///   activity network, or the exact CTMC solver (small configurations
-///   only; figure binaries substitute their exact-solvable micro
+///   only; the figure studies substitute their exact-solvable micro
 ///   variant); all run through the same pipeline and report the same
 ///   measure names,
 /// * `--reps N` — replications per sweep point (default 2000),
@@ -45,12 +45,12 @@ use std::path::PathBuf;
 ///   for byte,
 /// * `--results DIR` — result-store directory (default `results/`),
 /// * `--no-resume` — disable the result store: re-simulate every point
-///   and write no results file,
+///   and write no results file (wins over `--results` in either order),
 /// * `--check` — run the full structural analyzer over every distinct
 ///   model of the study before simulating and exit with status 2 if any
 ///   hard finding surfaces (see [`check_models`]),
 /// * `--no-check` — skip even the quick pre-simulation model check that
-///   `run_measures` performs by default,
+///   `run_measures_checked` performs by default,
 /// * `--exhaustive` — `itua check` only: explore the full reachability
 ///   graph (quotiented by the model's domain/host/replica symmetry) and
 ///   *prove* the conservation families, exact place bounds, and `.scn`
@@ -108,11 +108,13 @@ pub struct FigureCli {
 impl FigureCli {
     /// Parses `std::env::args`-style arguments (excluding `argv[0]`).
     ///
-    /// # Panics
+    /// `--no-resume` wins over `--results DIR` whatever their order.
     ///
-    /// Panics with a usage message on malformed arguments (these are
-    /// developer-facing binaries).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// # Errors
+    ///
+    /// A one-line message naming the offending flag on an unknown flag, a
+    /// missing value, or a malformed one.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut cli = FigureCli {
             backend: BackendKind::Des,
             backend_opts: BackendOptions::default(),
@@ -129,80 +131,51 @@ impl FigureCli {
             split: None,
             quiet: false,
         };
+        let mut no_resume = false;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--backend" => {
-                    cli.backend = it
-                        .next()
-                        .and_then(|v| BackendKind::parse(&v))
-                        .unwrap_or_else(|| panic!("--backend needs 'des', 'san', or 'analytic'"));
+                    let what = "'des', 'san', or 'analytic'";
+                    let name: String = flag_value(&mut it, &arg, what)?;
+                    cli.backend = BackendKind::parse(&name)
+                        .ok_or_else(|| format!("--backend needs {what}"))?;
                 }
-                "--reps" => {
-                    cli.cfg.replications = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--reps needs a positive integer"));
-                }
-                "--seed" => {
-                    cli.cfg.base_seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs an integer"));
-                }
+                "--reps" => cli.cfg.replications = flag_value(&mut it, &arg, "a positive integer")?,
+                "--seed" => cli.cfg.base_seed = flag_value(&mut it, &arg, "an integer")?,
                 "--max-states" => {
-                    let n = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| panic!("--max-states needs a positive integer"));
+                    let n: usize = flag_value(&mut it, &arg, "a positive integer")?;
+                    if n == 0 {
+                        return Err("--max-states needs a positive integer".to_owned());
+                    }
                     cli.backend_opts.analytic_max_states = Some(n);
                     cli.check_max_states = Some(n);
                 }
                 "--lump" => cli.backend_opts.analytic_lump = true,
                 "--no-lump" => cli.backend_opts.analytic_lump = false,
                 "--csv" => cli.csv = true,
-                "--threads" => {
-                    cli.threads = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--threads needs a non-negative integer"));
-                }
-                "--batch" => {
-                    cli.batch_size = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--batch needs a non-negative integer"));
-                }
+                "--threads" => cli.threads = flag_value(&mut it, &arg, "a non-negative integer")?,
+                "--batch" => cli.batch_size = flag_value(&mut it, &arg, "a non-negative integer")?,
                 "--results" => {
-                    cli.results_dir =
-                        Some(PathBuf::from(it.next().unwrap_or_else(|| {
-                            panic!("--results needs a directory path")
-                        })));
+                    cli.results_dir = Some(flag_value(&mut it, &arg, "a directory path")?);
                 }
-                "--no-resume" => cli.results_dir = None,
+                "--no-resume" => no_resume = true,
                 "--check" => cli.check = true,
                 "--no-check" => cli.no_check = true,
                 "--exhaustive" => cli.exhaustive = true,
                 "--json" => cli.json = true,
                 "--split-levels" => {
-                    let spec = it
-                        .next()
-                        .unwrap_or_else(|| panic!("--split-levels needs a spec like '1x8,2x4'"));
-                    cli.split = Some(spec.parse().unwrap_or_else(|e| {
-                        panic!("--split-levels: {e}");
-                    }));
+                    let spec: String = flag_value(&mut it, &arg, "a spec like '1x8,2x4'")?;
+                    cli.split = Some(spec.parse().map_err(|e| format!("--split-levels: {e}"))?);
                 }
                 "--quiet" => cli.quiet = true,
-                other => panic!(
-                    "unknown argument '{other}' (try --backend des|san|analytic, \
-                     --reps N, --seed S, --csv, --max-states N, --lump, --no-lump, \
-                     --threads N, --batch N, --results DIR, --no-resume, --check, \
-                     --no-check, --exhaustive, --json, --split-levels SPEC, --quiet)"
-                ),
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
-        cli
+        if no_resume {
+            cli.results_dir = None;
+        }
+        Ok(cli)
     }
 
     /// The progress reporter these flags select.
@@ -214,7 +187,7 @@ impl FigureCli {
         }
     }
 
-    /// Execution options for `run_with`, borrowing `progress` (obtain it
+    /// Execution options for `Scenario::run`, borrowing `progress` (obtain it
     /// from [`FigureCli::progress`]).
     pub fn opts<'a>(&self, progress: &'a dyn Progress) -> RunOpts<'a> {
         let runner = RunnerConfig::default()
@@ -239,15 +212,18 @@ impl FigureCli {
             fingerprint_extra: Vec::new(),
         }
     }
+}
 
-    /// Runs `--check` (when requested) over a study's sweep points and
-    /// exits with status 2 on hard findings. Call before `run_with`.
-    pub fn run_check_or_exit(&self, points: &[SweepPoint]) {
-        if self.check && check_models(points) {
-            eprintln!("model check failed: hard findings above");
-            std::process::exit(2);
-        }
-    }
+/// Takes and parses the value following `flag`; `what` describes the
+/// expected value in the error message.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs {what}"))
 }
 
 /// Runs the full structural analyzer ([`analysis::full_report`]) over
@@ -286,9 +262,17 @@ pub fn check_models(points: &[SweepPoint]) -> bool {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<FigureCli, String> {
+        FigureCli::parse(args.iter().map(|a| (*a).to_owned()))
+    }
+
+    fn parsed(args: &[&str]) -> FigureCli {
+        parse(args).unwrap()
+    }
+
     #[test]
     fn parses_defaults() {
-        let cli = FigureCli::parse(Vec::<String>::new());
+        let cli = parsed(&[]);
         assert_eq!(cli.backend, BackendKind::Des);
         assert_eq!(cli.backend_opts, BackendOptions::default());
         assert_eq!(cli.cfg.replications, 2000);
@@ -303,27 +287,23 @@ mod tests {
 
     #[test]
     fn parses_flags() {
-        let cli = FigureCli::parse(
-            [
-                "--backend",
-                "san",
-                "--reps",
-                "50",
-                "--seed",
-                "9",
-                "--csv",
-                "--threads",
-                "4",
-                "--batch",
-                "4",
-                "--results",
-                "out",
-                "--check",
-                "--quiet",
-            ]
-            .into_iter()
-            .map(String::from),
-        );
+        let cli = parsed(&[
+            "--backend",
+            "san",
+            "--reps",
+            "50",
+            "--seed",
+            "9",
+            "--csv",
+            "--threads",
+            "4",
+            "--batch",
+            "4",
+            "--results",
+            "out",
+            "--check",
+            "--quiet",
+        ]);
         assert_eq!(cli.backend, BackendKind::San);
         assert_eq!(cli.cfg.replications, 50);
         assert_eq!(cli.cfg.base_seed, 9);
@@ -337,11 +317,7 @@ mod tests {
 
     #[test]
     fn parses_analytic_backend_and_max_states() {
-        let cli = FigureCli::parse(
-            ["--backend", "analytic", "--max-states", "5000"]
-                .into_iter()
-                .map(String::from),
-        );
+        let cli = parsed(&["--backend", "analytic", "--max-states", "5000"]);
         assert_eq!(cli.backend, BackendKind::Analytic);
         assert_eq!(cli.backend_opts.analytic_max_states, Some(5000));
         assert!(cli.backend_opts.analytic_lump, "lumping is the default");
@@ -353,12 +329,12 @@ mod tests {
 
     #[test]
     fn parses_lump_flags() {
-        let cli = FigureCli::parse(["--no-lump".to_owned()]);
+        let cli = parsed(&["--no-lump"]);
         assert!(!cli.backend_opts.analytic_lump);
-        let cli = FigureCli::parse(["--no-lump".to_owned(), "--lump".to_owned()]);
+        let cli = parsed(&["--no-lump", "--lump"]);
         assert!(cli.backend_opts.analytic_lump, "last flag wins");
         // The runner's effective thread count feeds the analytic kernel.
-        let cli = FigureCli::parse(["--threads".to_owned(), "6".to_owned()]);
+        let cli = parsed(&["--threads", "6"]);
         let progress = cli.progress();
         let opts = cli.opts(progress.as_ref());
         assert_eq!(opts.backend_opts.analytic_threads, 6);
@@ -366,59 +342,76 @@ mod tests {
 
     #[test]
     fn parses_exhaustive_json_and_check_budget() {
-        let cli = FigureCli::parse(
-            ["--exhaustive", "--json", "--max-states", "50000"]
-                .into_iter()
-                .map(String::from),
-        );
+        let cli = parsed(&["--exhaustive", "--json", "--max-states", "50000"]);
         assert!(cli.exhaustive);
         assert!(cli.json);
         assert_eq!(cli.check_max_states, Some(50000));
         assert_eq!(cli.backend_opts.analytic_max_states, Some(50000));
         // Absent --max-states leaves the exhaustive budget at its own
         // default rather than inheriting the analytic bound.
-        let cli = FigureCli::parse(Vec::<String>::new());
+        let cli = parsed(&[]);
         assert!(!cli.exhaustive);
         assert!(!cli.json);
         assert_eq!(cli.check_max_states, None);
     }
 
     #[test]
-    #[should_panic]
     fn rejects_zero_max_states() {
-        FigureCli::parse(["--max-states".to_owned(), "0".to_owned()]);
+        assert!(parse(&["--max-states", "0"]).is_err());
     }
 
     #[test]
     fn parses_split_levels() {
-        let cli = FigureCli::parse(["--split-levels".to_owned(), "1x8,2x4".to_owned()]);
+        let cli = parsed(&["--split-levels", "1x8,2x4"]);
         let spec = cli.split.clone().unwrap();
         assert_eq!(spec.to_string(), "1x8,2x4");
         let progress = cli.progress();
         let opts = cli.opts(progress.as_ref());
         assert_eq!(opts.split, Some(spec));
         // `none` selects the splitting machinery with no thresholds.
-        let cli = FigureCli::parse(["--split-levels".to_owned(), "none".to_owned()]);
+        let cli = parsed(&["--split-levels", "none"]);
         assert_eq!(cli.split, Some(SplitSpec::none()));
         // Default: plain path.
-        assert_eq!(FigureCli::parse(Vec::<String>::new()).split, None);
+        assert_eq!(parsed(&[]).split, None);
     }
 
     #[test]
-    #[should_panic]
     fn rejects_malformed_split_levels() {
-        FigureCli::parse(["--split-levels".to_owned(), "2x4,1x8".to_owned()]);
+        assert!(parse(&["--split-levels", "2x4,1x8"]).is_err());
     }
 
     #[test]
     fn no_resume_disables_the_store() {
-        let cli = FigureCli::parse(["--no-resume".to_owned()]);
-        assert_eq!(cli.results_dir, None);
+        assert_eq!(parsed(&["--no-resume"]).results_dir, None);
+    }
+
+    #[test]
+    fn no_resume_wins_over_results_in_either_order() {
+        for args in [
+            ["--no-resume", "--results", "out"],
+            ["--results", "out", "--no-resume"],
+        ] {
+            assert_eq!(parsed(&args).results_dir, None, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn missing_and_malformed_values_are_errors() {
+        for args in [
+            &["--reps"][..],
+            &["--reps", "many"],
+            &["--backend", "ctmc"],
+            &["--results"],
+            &["--split-levels"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(args[0]), "{args:?}: {err}");
+        }
     }
 
     #[test]
     fn opts_reflect_flags() {
-        let cli = FigureCli::parse(["--threads".to_owned(), "3".to_owned()]);
+        let cli = parsed(&["--threads", "3"]);
         let progress = cli.progress();
         let opts = cli.opts(progress.as_ref());
         assert_eq!(opts.backend, BackendKind::Des);
@@ -429,7 +422,7 @@ mod tests {
 
     #[test]
     fn no_check_turns_the_quick_check_off() {
-        let cli = FigureCli::parse(["--no-check".to_owned()]);
+        let cli = parsed(&["--no-check"]);
         assert!(cli.no_check);
         let progress = cli.progress();
         let opts = cli.opts(progress.as_ref());
@@ -463,8 +456,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn rejects_unknown_flag() {
-        FigureCli::parse(["--nope".to_owned()]);
+        assert!(parse(&["--nope"]).is_err());
     }
 }

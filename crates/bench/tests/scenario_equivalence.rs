@@ -1,12 +1,13 @@
-//! The scenario layer's contract with the legacy figure path: identical
-//! stores, stable `.scn` round-trips.
+//! The scenario layer's contract with the study sweeps it wraps:
+//! identical stores, stable `.scn` round-trips.
 
 use itua_bench::driver;
+use itua_runner::backend::BackendKind;
 use itua_runner::progress::NullProgress;
 use itua_scenario::file::FileScenario;
 use itua_scenario::registry;
 use itua_studies::study;
-use itua_studies::sweep::{RunOpts, SweepConfig};
+use itua_studies::sweep::{run_sweep_stored, RunOpts, SweepConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -32,28 +33,45 @@ fn opts_into(dir: &Path, threads: usize) -> RunOpts<'static> {
     opts
 }
 
+/// Every built-in study, run through the scenario registry, writes the
+/// store byte for byte that a direct `run_sweep_stored` call over the
+/// study descriptor writes — the scenario layer adds no fingerprint part
+/// and no reordering — and the store does not depend on the thread count.
 #[test]
-fn scenario_store_is_byte_identical_to_the_legacy_study_store() {
+fn scenario_stores_are_byte_identical_to_the_study_sweep_stores() {
     let cfg = small_cfg();
+    for study in study::all() {
+        let direct_dir = temp_dir(&format!("{}-direct", study.id));
+        let measures = (study.measures)();
+        let refs: Vec<&str> = measures.iter().map(String::as_str).collect();
+        let points = study.points_for(BackendKind::Des);
+        run_sweep_stored(study.id, &points, &cfg, &refs, &opts_into(&direct_dir, 1)).unwrap();
 
-    let legacy_dir = temp_dir("legacy");
-    let legacy = study::by_id("sensitivity").unwrap();
-    legacy.run_with(&cfg, &opts_into(&legacy_dir, 1)).unwrap();
+        let scenario = registry::find(study.id).unwrap();
+        let scn_dir = temp_dir(&format!("{}-scenario", study.id));
+        scenario.run(&cfg, &opts_into(&scn_dir, 1)).unwrap();
+        let scn_dir_t2 = temp_dir(&format!("{}-scenario-t2", study.id));
+        scenario.run(&cfg, &opts_into(&scn_dir_t2, 2)).unwrap();
 
-    let scn_dir = temp_dir("scenario");
-    let scenario = registry::find("sensitivity").unwrap();
-    scenario.run(&cfg, &opts_into(&scn_dir, 1)).unwrap();
-
-    // And thread count must not matter either (CI byte-diffs at 1 and 8).
-    let scn_dir_t2 = temp_dir("scenario-t2");
-    scenario.run(&cfg, &opts_into(&scn_dir_t2, 2)).unwrap();
-
-    let legacy_bytes = fs::read(legacy_dir.join("sensitivity.json")).unwrap();
-    let scn_bytes = fs::read(scn_dir.join("sensitivity.json")).unwrap();
-    let scn_bytes_t2 = fs::read(scn_dir_t2.join("sensitivity.json")).unwrap();
-    assert!(!legacy_bytes.is_empty());
-    assert_eq!(legacy_bytes, scn_bytes);
-    assert_eq!(scn_bytes, scn_bytes_t2);
+        let file = format!("{}.json", study.id);
+        let direct_bytes = fs::read(direct_dir.join(&file)).unwrap();
+        assert!(!direct_bytes.is_empty(), "{}", study.id);
+        assert_eq!(
+            direct_bytes,
+            fs::read(scn_dir.join(&file)).unwrap(),
+            "{}",
+            study.id
+        );
+        assert_eq!(
+            direct_bytes,
+            fs::read(scn_dir_t2.join(&file)).unwrap(),
+            "{}",
+            study.id
+        );
+        for dir in [direct_dir, scn_dir, scn_dir_t2] {
+            fs::remove_dir_all(dir).unwrap();
+        }
+    }
 }
 
 fn example_files() -> Vec<PathBuf> {
@@ -92,7 +110,6 @@ fn every_shipped_scenario_file_round_trips_parse_hash_parse() {
 
 #[test]
 fn shipped_scenario_files_resolve_and_compose() {
-    use itua_runner::backend::BackendKind;
     for path in example_files() {
         let scenario = driver::resolve(path.to_str().unwrap()).unwrap_or_else(|e| {
             panic!("{e}");

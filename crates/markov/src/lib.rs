@@ -9,8 +9,6 @@
 //! * [`ctmc`] — continuous-time Markov chains: transient distribution by
 //!   **uniformization** with truncated Poisson weights, expected
 //!   time-averaged/accumulated rewards over an interval, and steady state.
-//! * [`dtmc`] — discrete-time chains: power iteration and absorption
-//!   probabilities.
 //! * [`poisson`] — truncated Poisson weight computation used by
 //!   uniformization.
 //!
@@ -35,10 +33,8 @@
 #![warn(missing_docs)]
 
 pub mod ctmc;
-pub mod dtmc;
 pub mod poisson;
 pub mod sparse;
 
 pub use ctmc::Ctmc;
-pub use dtmc::Dtmc;
 pub use sparse::CsrMatrix;

@@ -13,17 +13,18 @@
 //! A third, non-simulation backend solves small configurations exactly
 //! ([`itua_core::analytic::ItuaAnalytic`]): it reports its measures
 //! through [`Backend::exact_measures`] instead of per-replication runs,
-//! and [`run_measures`] short-circuits the replication loop for it.
+//! and [`run_measures_checked`] short-circuits the replication loop for
+//! it.
 //!
-//! [`run_measures`] is the shared replication loop: it fans replications
-//! out through [`replicate_batched`] (chunk-ordered deterministic
+//! [`run_measures_checked`] is the shared replication loop: it fans
+//! replications out through [`replicate`] (chunk-ordered deterministic
 //! reduction, `stream_seed` seeding, batch-amortised per-run setup via
 //! [`Backend::run_batch`]) and folds the outputs into a [`MeasureSet`]
 //! in replication order, so results are bit-identical for every thread
 //! count and batch size — for every backend (trivially so for the
 //! analytic one, which never consults seed or thread).
 
-use crate::engine::{replicate_batched, RunnerConfig};
+use crate::engine::{replicate, RunnerConfig};
 use crate::progress::Progress;
 use itua_core::analytic::{AnalyticError, AnalyticOptions, ItuaAnalytic};
 use itua_core::des::{DesScratch, ItuaDes};
@@ -80,8 +81,8 @@ impl From<AnalyticError> for BackendError {
 /// Implementations must be deterministic functions of the arguments: given
 /// the same `(seed, horizon, sample_times)`, `run` must return the same
 /// [`RunOutput`] regardless of the scratch's history. That contract is what
-/// lets [`run_measures`] reuse one scratch per worker thread while keeping
-/// results bit-identical for every thread count.
+/// lets [`run_measures_checked`] reuse one scratch per worker thread while
+/// keeping results bit-identical for every thread count.
 pub trait Backend: Sync {
     /// Reusable per-thread simulation state.
     type Scratch: Send;
@@ -135,7 +136,7 @@ pub trait Backend: Sync {
 
     /// For deterministic (exact) backends: the full measure set, computed
     /// without replication. `Some` short-circuits the replication loop in
-    /// [`run_measures`]; the default `None` means "simulate".
+    /// [`run_measures_checked`]; the default `None` means "simulate".
     fn exact_measures(
         &self,
         _horizon: f64,
@@ -435,7 +436,7 @@ impl Backend for ItuaAnalytic {
     ) -> Result<RunOutput, BackendError> {
         Err(BackendError::new(
             "analytic backend is exact and produces no per-replication output; \
-             run_measures short-circuits through exact_measures",
+             run_measures_checked short-circuits through exact_measures",
         ))
     }
 
@@ -543,6 +544,10 @@ impl Backend for ItuaBackend {
 /// Each worker thread allocates one scratch and reuses it for all its
 /// replications.
 ///
+/// Under [`ModelCheck::Quick`] the backend's [`Backend::self_check`] runs
+/// once up front and a failing model is refused instead of simulated;
+/// [`ModelCheck::Deep`] runs [`Backend::self_check_deep`] instead.
+///
 /// An exact backend (one whose [`Backend::exact_measures`] returns `Some`)
 /// skips the replication loop entirely: its zero-variance measure set is
 /// returned as one deterministic "replication", independent of
@@ -550,20 +555,20 @@ impl Backend for ItuaBackend {
 ///
 /// # Errors
 ///
-/// Returns the first (in replication order) [`BackendError`] any
-/// replication produced.
+/// Returns the self-check failure, or the first (in replication order)
+/// [`BackendError`] any replication produced.
 ///
 /// # Example
 ///
 /// ```
 /// use itua_core::params::Params;
-/// use itua_runner::backend::{run_measures, BackendKind, ItuaBackend};
+/// use itua_runner::backend::{run_measures_checked, BackendKind, ItuaBackend, ModelCheck};
 /// use itua_runner::engine::RunnerConfig;
 /// use itua_runner::progress::NullProgress;
 ///
 /// let params = Params::default().with_domains(4, 2).with_applications(2, 3);
 /// let backend = ItuaBackend::for_params(BackendKind::Des, &params).unwrap();
-/// let ms = run_measures(
+/// let ms = run_measures_checked(
 ///     &backend,
 ///     50,
 ///     0.95,
@@ -572,43 +577,11 @@ impl Backend for ItuaBackend {
 ///     &[5.0],
 ///     &RunnerConfig::default(),
 ///     &NullProgress,
+///     ModelCheck::Quick,
 /// )
 /// .unwrap();
 /// assert!(ms.mean(itua_core::measures::names::UNAVAILABILITY).is_some());
 /// ```
-#[allow(clippy::too_many_arguments)]
-pub fn run_measures<B: Backend>(
-    backend: &B,
-    replications: u32,
-    confidence: f64,
-    origin_seed: u64,
-    horizon: f64,
-    sample_times: &[f64],
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-) -> Result<MeasureSet, BackendError> {
-    run_measures_checked(
-        backend,
-        replications,
-        confidence,
-        origin_seed,
-        horizon,
-        sample_times,
-        runner,
-        progress,
-        ModelCheck::Quick,
-    )
-}
-
-/// [`run_measures`] with an explicit [`ModelCheck`] policy: under
-/// [`ModelCheck::Quick`] (the [`run_measures`] default) the backend's
-/// [`Backend::self_check`] runs once up front and a failing model is
-/// refused instead of simulated.
-///
-/// # Errors
-///
-/// Returns the self-check failure, or the first (in replication order)
-/// [`BackendError`] any replication produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_checked<B: Backend>(
     backend: &B,
@@ -631,7 +604,7 @@ pub fn run_measures_checked<B: Backend>(
         progress.on_replications(replications, replications);
         return Ok(measures);
     }
-    let outputs = replicate_batched(
+    let outputs = replicate(
         replications,
         runner,
         progress,
@@ -680,7 +653,7 @@ mod tests {
     #[test]
     fn des_measures_are_thread_count_invariant() {
         let backend = ItuaBackend::for_params(BackendKind::Des, &small_params()).unwrap();
-        let reference = run_measures(
+        let reference = run_measures_checked(
             &backend,
             64,
             0.95,
@@ -689,10 +662,11 @@ mod tests {
             &[5.0],
             &RunnerConfig::serial(),
             &NullProgress,
+            ModelCheck::Quick,
         )
         .unwrap();
         for threads in [2, 4, 8] {
-            let got = run_measures(
+            let got = run_measures_checked(
                 &backend,
                 64,
                 0.95,
@@ -701,6 +675,7 @@ mod tests {
                 &[5.0],
                 &RunnerConfig::default().with_threads(threads),
                 &NullProgress,
+                ModelCheck::Quick,
             )
             .unwrap();
             assert_eq!(got.estimates(), reference.estimates(), "threads={threads}");
@@ -710,7 +685,7 @@ mod tests {
     #[test]
     fn san_measures_are_thread_count_invariant() {
         let backend = ItuaBackend::for_params(BackendKind::San, &small_params()).unwrap();
-        let reference = run_measures(
+        let reference = run_measures_checked(
             &backend,
             16,
             0.95,
@@ -719,9 +694,10 @@ mod tests {
             &[3.0],
             &RunnerConfig::serial(),
             &NullProgress,
+            ModelCheck::Quick,
         )
         .unwrap();
-        let got = run_measures(
+        let got = run_measures_checked(
             &backend,
             16,
             0.95,
@@ -730,6 +706,7 @@ mod tests {
             &[3.0],
             &RunnerConfig::default().with_threads(4),
             &NullProgress,
+            ModelCheck::Quick,
         )
         .unwrap();
         assert_eq!(got.estimates(), reference.estimates());
@@ -742,9 +719,19 @@ mod tests {
         // bit-identical to the unbatched serial run.
         let backend = ItuaBackend::for_params(BackendKind::San, &small_params()).unwrap();
         let run = |rc: &RunnerConfig| {
-            run_measures(&backend, 24, 0.95, 7, 3.0, &[3.0], rc, &NullProgress)
-                .unwrap()
-                .estimates()
+            run_measures_checked(
+                &backend,
+                24,
+                0.95,
+                7,
+                3.0,
+                &[3.0],
+                rc,
+                &NullProgress,
+                ModelCheck::Quick,
+            )
+            .unwrap()
+            .estimates()
         };
         let reference = run(&RunnerConfig::serial().with_batch_size(1));
         for batch in [1, 4, 32] {
@@ -766,7 +753,7 @@ mod tests {
         for kind in [BackendKind::Des, BackendKind::San] {
             let backend = ItuaBackend::for_params(kind, &params).unwrap();
             assert_eq!(backend.kind(), kind);
-            let ms = run_measures(
+            let ms = run_measures_checked(
                 &backend,
                 8,
                 0.95,
@@ -775,6 +762,7 @@ mod tests {
                 &[2.0],
                 &RunnerConfig::serial(),
                 &NullProgress,
+                ModelCheck::Quick,
             )
             .unwrap();
             assert!(
@@ -789,7 +777,7 @@ mod tests {
     fn analytic_short_circuits_with_exact_estimates() {
         let backend = ItuaBackend::for_params(BackendKind::Analytic, &micro_params()).unwrap();
         assert_eq!(backend.kind(), BackendKind::Analytic);
-        let ms = run_measures(
+        let ms = run_measures_checked(
             &backend,
             1000, // ignored: one exact solve, not a thousand replications
             0.95,
@@ -798,6 +786,7 @@ mod tests {
             &[5.0],
             &RunnerConfig::serial(),
             &NullProgress,
+            ModelCheck::Quick,
         )
         .unwrap();
         let estimates = ms.estimates();
@@ -811,9 +800,19 @@ mod tests {
     fn analytic_measures_are_invariant_in_threads_seed_and_replications() {
         let backend = ItuaBackend::for_params(BackendKind::Analytic, &micro_params()).unwrap();
         let run = |reps, seed, cfg: &RunnerConfig| {
-            run_measures(&backend, reps, 0.95, seed, 5.0, &[5.0], cfg, &NullProgress)
-                .unwrap()
-                .estimates()
+            run_measures_checked(
+                &backend,
+                reps,
+                0.95,
+                seed,
+                5.0,
+                &[5.0],
+                cfg,
+                &NullProgress,
+                ModelCheck::Quick,
+            )
+            .unwrap()
+            .estimates()
         };
         let reference = run(16, 7, &RunnerConfig::serial());
         assert_eq!(
@@ -856,7 +855,7 @@ mod tests {
         let run = |opts: &BackendOptions| {
             let backend =
                 ItuaBackend::for_params_with(BackendKind::Analytic, &micro_params(), opts).unwrap();
-            run_measures(
+            run_measures_checked(
                 &backend,
                 1,
                 0.95,
@@ -865,6 +864,7 @@ mod tests {
                 &[2.5, 5.0],
                 &RunnerConfig::serial(),
                 &NullProgress,
+                ModelCheck::Quick,
             )
             .unwrap()
         };

@@ -21,7 +21,7 @@ pub struct RunnerConfig {
     /// contract (results are reassembled in chunk order), so this does not
     /// affect results, only scheduling granularity.
     pub chunk_size: u32,
-    /// Replications handed to the backend per [`replicate_batched`] call
+    /// Replications handed to the backend per [`replicate`] callback
     /// within a chunk. Purely an amortisation knob: each replication's
     /// result must depend only on its index, so batching never affects
     /// results, and `batch_size` stays out of store fingerprints.
@@ -69,13 +69,24 @@ impl RunnerConfig {
     }
 }
 
-/// Runs `f(0), f(1), …, f(replications - 1)` across worker threads and
-/// returns the results **in replication order**.
+/// Runs replications `0..replications` across worker threads and returns
+/// one result per replication **in replication order**.
 ///
-/// The work function sees only the replication index; derive all
-/// randomness from it (e.g. `stream_seed(base, index)`) and the output is
-/// independent of the thread count and of scheduling. Progress is reported
-/// after every completed chunk via [`Progress::on_replications`].
+/// Each worker owns a reusable scratch value created once by `init` and
+/// is handed whole half-open *ranges* of replication indices at a time
+/// (at most [`RunnerConfig::batch_size`] long; `0` is treated as 1),
+/// appending one result per index, in ascending order, to the output
+/// buffer. The scratch lets a backend build its event queue, state
+/// vectors and sample buffers once per thread; the range lets it do
+/// per-run setup that is identical across replications once per batch.
+///
+/// The work function must make each index's result depend only on that
+/// index: derive all randomness from it (e.g. `stream_seed(base, index)`)
+/// and treat the scratch as an allocation cache, not a communication
+/// channel. Batches never straddle chunk boundaries and chunks are
+/// reassembled in index order, so the output is bit-identical for every
+/// thread count, chunk size and batch size. Progress is reported after
+/// every completed chunk via [`Progress::on_replications`].
 ///
 /// Panics in `f` propagate to the caller once all workers have stopped.
 ///
@@ -85,91 +96,16 @@ impl RunnerConfig {
 /// use itua_runner::engine::{replicate, RunnerConfig};
 /// use itua_runner::progress::NullProgress;
 ///
-/// let squares = replicate(5, &RunnerConfig::default(), &NullProgress, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-/// ```
-pub fn replicate<R, F>(
-    replications: u32,
-    config: &RunnerConfig,
-    progress: &dyn Progress,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u32) -> R + Sync,
-{
-    replicate_with_scratch(replications, config, progress, || (), |i, _scratch| f(i))
-}
-
-/// Like [`replicate`], but each worker thread owns a reusable scratch value
-/// created once by `init` and threaded through every replication that worker
-/// executes.
-///
-/// This is the allocation-amortising form: a simulation backend can build
-/// its event queue, state vectors, and sample buffers once per thread and
-/// reset them per replication instead of reallocating per replication. The
-/// determinism contract is unchanged — `f(i, scratch)` must produce a result
-/// that depends only on `i` (the scratch is an allocation cache, not a
-/// communication channel), and results are reassembled in chunk order, so
-/// the output is bit-identical for any thread count and chunk size.
-///
-/// # Example
-///
-/// ```
-/// use itua_runner::engine::{replicate_with_scratch, RunnerConfig};
-/// use itua_runner::progress::NullProgress;
-///
-/// // Scratch here is a reusable buffer; the result ignores its history.
-/// let sums = replicate_with_scratch(
-///     4,
+/// let squares = replicate(
+///     5,
 ///     &RunnerConfig::default(),
 ///     &NullProgress,
-///     Vec::new,
-///     |i, buf: &mut Vec<u32>| {
-///         buf.clear();
-///         buf.extend(0..=i);
-///         buf.iter().sum::<u32>()
-///     },
+///     || (),
+///     |range, _, out| out.extend(range.map(|i| i * i)),
 /// );
-/// assert_eq!(sums, vec![0, 1, 3, 6]);
+/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
 /// ```
-pub fn replicate_with_scratch<R, S, I, F>(
-    replications: u32,
-    config: &RunnerConfig,
-    progress: &dyn Progress,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(u32, &mut S) -> R + Sync,
-{
-    replicate_batched(
-        replications,
-        config,
-        progress,
-        init,
-        |range, scratch, out| {
-            for i in range {
-                out.push(f(i, scratch));
-            }
-        },
-    )
-}
-
-/// Like [`replicate_with_scratch`], but hands each worker a whole
-/// half-open *range* of replication indices at a time, appending one
-/// result per index (in ascending order) to the output buffer.
-///
-/// This is the batch-amortising form: a backend can perform per-run setup
-/// that is identical across replications (sample-time schedules, buffer
-/// sizing) once per batch instead of once per replication. Batches never
-/// straddle chunk boundaries, and the determinism contract is unchanged —
-/// each index's result must depend only on that index — so the output is
-/// bit-identical for every thread count, chunk size, *and* batch size
-/// ([`RunnerConfig::batch_size`]; `0` is treated as 1).
-pub fn replicate_batched<R, S, I, F>(
+pub fn replicate<R, S, I, F>(
     replications: u32,
     config: &RunnerConfig,
     progress: &dyn Progress,
@@ -267,6 +203,44 @@ mod tests {
     use crate::progress::NullProgress;
     use std::sync::atomic::AtomicUsize;
 
+    /// [`replicate`] with no scratch and one result per index.
+    fn each<R: Send>(
+        replications: u32,
+        config: &RunnerConfig,
+        progress: &dyn Progress,
+        f: impl Fn(u32) -> R + Sync,
+    ) -> Vec<R> {
+        replicate(
+            replications,
+            config,
+            progress,
+            || (),
+            |range, (), out| {
+                out.extend(range.map(&f));
+            },
+        )
+    }
+
+    /// [`replicate`] with a per-worker scratch and one result per index.
+    fn each_with<R: Send, S>(
+        replications: u32,
+        config: &RunnerConfig,
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(u32, &mut S) -> R + Sync,
+    ) -> Vec<R> {
+        replicate(
+            replications,
+            config,
+            &NullProgress,
+            init,
+            |range, scratch, out| {
+                for i in range {
+                    out.push(f(i, scratch));
+                }
+            },
+        )
+    }
+
     #[test]
     fn preserves_replication_order() {
         for threads in [1, 2, 4, 8] {
@@ -275,7 +249,7 @@ mod tests {
                 chunk_size: 3,
                 ..Default::default()
             };
-            let got = replicate(100, &cfg, &NullProgress, |i| i);
+            let got = each(100, &cfg, &NullProgress, |i| i);
             assert_eq!(got, (0..100).collect::<Vec<_>>(), "threads = {threads}");
         }
     }
@@ -283,7 +257,7 @@ mod tests {
     #[test]
     fn identical_results_across_thread_and_chunk_choices() {
         let work = |i: u32| itua_sim::rng::stream_seed(42, i as u64);
-        let reference = replicate(257, &RunnerConfig::serial(), &NullProgress, work);
+        let reference = each(257, &RunnerConfig::serial(), &NullProgress, work);
         for threads in [2, 3, 8] {
             for chunk_size in [1, 7, 64, 1000] {
                 let cfg = RunnerConfig {
@@ -292,7 +266,7 @@ mod tests {
                     ..Default::default()
                 };
                 assert_eq!(
-                    replicate(257, &cfg, &NullProgress, work),
+                    each(257, &cfg, &NullProgress, work),
                     reference,
                     "threads={threads} chunk={chunk_size}"
                 );
@@ -302,7 +276,7 @@ mod tests {
 
     #[test]
     fn zero_replications_is_empty() {
-        let out: Vec<u32> = replicate(0, &RunnerConfig::default(), &NullProgress, |i| i);
+        let out: Vec<u32> = each(0, &RunnerConfig::default(), &NullProgress, |i| i);
         assert!(out.is_empty());
     }
 
@@ -314,7 +288,7 @@ mod tests {
             chunk_size: 5,
             ..Default::default()
         };
-        let out = replicate(83, &cfg, &NullProgress, |i| {
+        let out = each(83, &cfg, &NullProgress, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -336,7 +310,7 @@ mod tests {
             chunk_size: 10,
             ..Default::default()
         };
-        replicate(45, &cfg, &last, |i| i);
+        each(45, &cfg, &last, |i| i);
         assert_eq!(last.0.load(Ordering::Relaxed), 45);
     }
 
@@ -349,8 +323,7 @@ mod tests {
             buf.extend((0..4).map(|k| itua_sim::rng::stream_seed(i as u64, k)));
             buf.iter().fold(0u64, |a, b| a.wrapping_add(*b))
         };
-        let reference =
-            replicate_with_scratch(123, &RunnerConfig::serial(), &NullProgress, Vec::new, work);
+        let reference = each_with(123, &RunnerConfig::serial(), Vec::new, work);
         for threads in [2, 4, 8] {
             let cfg = RunnerConfig {
                 threads,
@@ -358,7 +331,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                replicate_with_scratch(123, &cfg, &NullProgress, Vec::new, work),
+                each_with(123, &cfg, Vec::new, work),
                 reference,
                 "threads={threads}"
             );
@@ -373,10 +346,9 @@ mod tests {
             chunk_size: 4,
             ..Default::default()
         };
-        replicate_with_scratch(
+        each_with(
             60,
             &cfg,
-            &NullProgress,
             || {
                 inits.fetch_add(1, Ordering::Relaxed);
             },

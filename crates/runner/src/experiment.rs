@@ -14,7 +14,7 @@
 //! thread and recorded into one [`ReplicationEstimator`] in replication
 //! order, so the estimates are bit-identical for every thread count.
 
-use crate::engine::{replicate_with_scratch, RunnerConfig};
+use crate::engine::{replicate, RunnerConfig};
 use crate::progress::Progress;
 use itua_san::model::SanError;
 use itua_san::reward::{Observation, RewardVariable};
@@ -109,26 +109,31 @@ pub fn run_experiment_parallel<F>(
 where
     F: Fn() -> Vec<Box<dyn RewardVariable>> + Sync,
 {
-    let per_rep: Vec<Result<Vec<Observation>, SanError>> = replicate_with_scratch(
+    let run_one = |rep: u32, scratch: &mut _| {
+        let mut variables = make_variables();
+        {
+            let mut observers: Vec<&mut dyn Observer> = variables
+                .iter_mut()
+                .map(|v| v.as_mut() as &mut dyn Observer)
+                .collect();
+            sim.run_with_scratch(
+                config.seed_for(rep),
+                config.horizon,
+                &mut observers,
+                scratch,
+            )?;
+        }
+        Ok(variables.iter().flat_map(|v| v.observations()).collect())
+    };
+    let per_rep: Vec<Result<Vec<Observation>, SanError>> = replicate(
         config.replications,
         runner,
         progress,
         || sim.scratch(),
-        |rep, scratch| {
-            let mut variables = make_variables();
-            {
-                let mut observers: Vec<&mut dyn Observer> = variables
-                    .iter_mut()
-                    .map(|v| v.as_mut() as &mut dyn Observer)
-                    .collect();
-                sim.run_with_scratch(
-                    config.seed_for(rep),
-                    config.horizon,
-                    &mut observers,
-                    scratch,
-                )?;
+        |reps, scratch, out| {
+            for rep in reps {
+                out.push(run_one(rep, scratch));
             }
-            Ok(variables.iter().flat_map(|v| v.observations()).collect())
         },
     );
 

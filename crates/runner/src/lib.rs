@@ -1,20 +1,21 @@
 //! Parallel experiment-execution engine for the ITUA reproduction.
 //!
 //! The paper's Möbius studies run thousands of independent replications per
-//! sweep point — an embarrassingly parallel workload that the original
-//! single-threaded `run_experiment` / `run_sweep` loops left on one core.
-//! This crate is the execution layer that fixes that, as a subsystem the
-//! rest of the stack (`itua-san` experiments, `itua-studies` sweeps, the
-//! figure binaries) plugs into:
+//! sweep point — an embarrassingly parallel workload. This crate is the
+//! execution layer the rest of the stack (`itua-san` experiments,
+//! `itua-studies` sweeps, the `itua` CLI) plugs into:
 //!
-//! * [`engine`] — shards replications across scoped worker threads in
-//!   fixed-size chunks claimed from a shared counter. Replication `i` is
-//!   seeded by `stream_seed(base, i)` regardless of which worker runs it,
-//!   and results are reassembled in replication order before reduction, so
-//!   **estimates are bit-identical for every thread count** (including the
-//!   sequential path).
-//! * [`backend`] — the [`backend::Backend`] trait: one execution path for
-//!   both encodings of the ITUA process (direct DES and composed SAN),
+//! * [`engine`] — [`engine::replicate`], the one replication loop: it
+//!   shards replications across scoped worker threads in fixed-size
+//!   chunks claimed from a shared counter, each worker reusing one
+//!   scratch value and running its chunk in batch-sized ranges.
+//!   Replication `i` is seeded by `stream_seed(base, i)` regardless of
+//!   which worker runs it, and results are reassembled in replication
+//!   order before reduction, so **estimates are bit-identical for every
+//!   thread count** (including the sequential path).
+//! * [`backend`] — the [`backend::Backend`] trait and
+//!   [`backend::run_measures_checked`]: one execution path for every
+//!   encoding of the ITUA process (direct DES, composed SAN, exact CTMC),
 //!   with per-thread reusable scratch state.
 //! * [`experiment`] — the parallel replication loop for raw SANs plus
 //!   reward variables, and its [`experiment::ExperimentConfig`] (the
@@ -48,10 +49,8 @@ pub mod split;
 pub mod store;
 pub mod sweep;
 
-pub use backend::{
-    run_measures, Backend, BackendError, BackendKind, BackendOptions, ItuaBackend, ItuaScratch,
-};
-pub use engine::{replicate, replicate_batched, replicate_with_scratch, RunnerConfig};
+pub use backend::{Backend, BackendError, BackendKind, BackendOptions, ItuaBackend, ItuaScratch};
+pub use engine::{replicate, RunnerConfig};
 pub use experiment::{run_experiment_parallel, ExperimentConfig};
 pub use progress::{ConsoleProgress, NullProgress, Progress};
 pub use split::{run_measures_split, SplitRun, SplitTotals};

@@ -1,5 +1,5 @@
 //! The importance-splitting replication loop: [`run_measures_split`] is
-//! the rare-event counterpart of [`crate::backend::run_measures`].
+//! the rare-event counterpart of [`crate::backend::run_measures_checked`].
 //!
 //! Each replication becomes one RESTART *tree* instead of one trajectory:
 //! the backend starts a root branch ([`ItuaBackend::run_split_tree`]),
@@ -145,17 +145,25 @@ pub fn run_measures_split(
             totals: SplitTotals::default(),
         });
     }
-    let trees = replicate(replications, runner, progress, |rep| {
-        let mut leaves = Vec::new();
-        let stats = backend.run_split_tree(
-            stream_seed(origin_seed, u64::from(rep)),
-            horizon,
-            sample_times,
-            spec,
-            &mut leaves,
-        )?;
-        Ok::<_, BackendError>((stats, leaves))
-    });
+    let trees = replicate(
+        replications,
+        runner,
+        progress,
+        || (),
+        |reps, (), out| {
+            out.extend(reps.map(|rep| {
+                let mut leaves = Vec::new();
+                let stats = backend.run_split_tree(
+                    stream_seed(origin_seed, u64::from(rep)),
+                    horizon,
+                    sample_times,
+                    spec,
+                    &mut leaves,
+                )?;
+                Ok::<_, BackendError>((stats, leaves))
+            }));
+        },
+    );
     let mut measures = MeasureSet::new_weighted(confidence);
     let mut totals = SplitTotals::default();
     for tree in trees {
@@ -169,7 +177,7 @@ pub fn run_measures_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{run_measures, BackendKind};
+    use crate::backend::{run_measures_checked, BackendKind};
     use crate::progress::NullProgress;
     use itua_core::params::Params;
 
@@ -188,7 +196,7 @@ mod tests {
     fn empty_spec_is_bit_identical_to_plain_loop() {
         for kind in [BackendKind::Des, BackendKind::San] {
             let backend = ItuaBackend::for_params(kind, &small_params()).unwrap();
-            let plain = run_measures(
+            let plain = run_measures_checked(
                 &backend,
                 24,
                 0.95,
@@ -197,6 +205,7 @@ mod tests {
                 &[1.0, 3.0],
                 &RunnerConfig::serial(),
                 &NullProgress,
+                ModelCheck::Quick,
             )
             .unwrap();
             let split = run_measures_split(

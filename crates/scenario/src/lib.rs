@@ -1,21 +1,21 @@
 //! Declarative experiment layer for the ITUA reproduction.
 //!
-//! Every study used to be a hand-rolled binary, so scenario diversity —
-//! the paper's whole point being parametric validation of the ITUA
-//! design space — was gated on recompiling. This crate makes
-//! *configurations* first-class inputs to one evaluation engine:
+//! Scenario diversity — the paper's whole point being parametric
+//! validation of the ITUA design space — should not be gated on
+//! recompiling. This crate makes *configurations* first-class inputs to
+//! one evaluation engine, and [`Scenario::run`] is the one way a study
+//! is run:
 //!
 //! * [`Scenario`] — the trait every runnable experiment implements:
 //!   name, description, sweep points (including the analytic-backend
-//!   micro-variant substitution that used to be hard-coded in each
-//!   figure `main`), measures, renderer, and the identity parts folded
-//!   into result-store fingerprints.
+//!   micro-variant substitution), measures, renderer, and the identity
+//!   parts folded into result-store fingerprints.
 //! * [`registry`] — the shipped studies (Figures 3–5, the sensitivity
 //!   study, and the `all-figures` composite) as built-in scenarios,
 //!   each a thin declarative wrapper over an
 //!   [`itua_studies::study::Study`] descriptor. Built-ins contribute no
-//!   extra fingerprint parts, so their stores stay byte-identical to the
-//!   legacy figure binaries'.
+//!   extra fingerprint parts, so their stores are byte-identical to a
+//!   plain `run_sweep_stored` over the descriptor.
 //! * [`file`] — a dependency-free `key = value` parser for user-authored
 //!   `.scn` scenario files (topology counts, rates, management scheme,
 //!   sweep axis, replications/horizon, split levels) that compose into
@@ -82,8 +82,9 @@ pub trait Scenario {
 
     /// Identity parts folded into the result-store fingerprint after
     /// the sweep-configuration parts. Built-ins return nothing (their
-    /// identity is fully carried by their points), keeping legacy
-    /// stores byte-identical; file scenarios return their normalized
+    /// identity is fully carried by their points), keeping their
+    /// stores byte-identical to a plain `run_sweep_stored` over the
+    /// study; file scenarios return their normalized
     /// content hash so resume stays sound across scenario edits.
     fn fingerprint_parts(&self) -> Vec<String> {
         Vec::new()

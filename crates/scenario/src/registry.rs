@@ -3,9 +3,9 @@
 //! Each entry is a declarative wrapper over an
 //! [`itua_studies::study::Study`] descriptor — same sweep id, same
 //! points, same renderer, empty [`Scenario::fingerprint_parts`] — so
-//! `itua run figure3` writes a store byte-identical to the legacy
-//! `figure3` binary's. The `all-figures` composite runs Figures 3–5
-//! sequentially under shared options.
+//! `itua run figure3` writes the store byte for byte that
+//! `run_sweep_stored` writes over the descriptor. The `all-figures`
+//! composite runs Figures 3–5 sequentially under shared options.
 
 use crate::Scenario;
 use itua_runner::backend::BackendKind;
@@ -144,7 +144,7 @@ mod tests {
         for s in registry() {
             assert!(
                 s.fingerprint_parts().is_empty(),
-                "{} would break byte-identity with its legacy store",
+                "{} would break byte-identity with its study store",
                 s.name()
             );
         }
@@ -158,8 +158,7 @@ mod tests {
         let b = study.points_for(BackendKind::Des);
         assert_eq!(a.len(), b.len());
         assert_eq!(a[0].series, b[0].series);
-        // Analytic backend substitutes the micro variant, as the legacy
-        // binary did.
+        // Analytic backend substitutes the micro variant.
         let micro = s.points(BackendKind::Analytic);
         assert_ne!(micro.len(), a.len());
     }

@@ -12,9 +12,6 @@
 //!   firing-time distributions.
 //! * [`queue`] — a pending-event set: a time-ordered priority queue with
 //!   deterministic FIFO tie-breaking and O(log n) cancellation.
-//! * [`engine`] — a tiny event-loop executive tying a clock, a queue, and an
-//!   event handler together for models that do not need the full SAN
-//!   formalism.
 //!
 //! # Example
 //!
@@ -37,11 +34,9 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
 pub mod queue;
 pub mod rng;
 
 pub use dist::{Distribution, Exponential, ParamError};
-pub use engine::{Engine, EventHandler};
 pub use queue::{EventKey, EventQueue};
 pub use rng::Rng;

@@ -13,8 +13,6 @@
 //! * [`ci`] — confidence intervals over replicate observations.
 //! * [`replication`] — a multi-measure replication harness with
 //!   relative-precision stopping.
-//! * [`batch`] — batch-means estimation for steady-state measures.
-//! * [`histogram`] — fixed-bin histograms and exact percentiles.
 //! * [`weighted`] — weight-carrying moments for importance-splitting
 //!   estimators, bit-compatible with [`online`] at weight 1.
 //!
@@ -32,9 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod ci;
-pub mod histogram;
 pub mod online;
 pub mod replication;
 pub mod special;

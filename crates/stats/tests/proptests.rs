@@ -1,7 +1,5 @@
 //! Property-based tests for the statistics crate.
 
-use itua_stats::batch::BatchMeans;
-use itua_stats::histogram::percentile;
 use itua_stats::online::OnlineStats;
 use itua_stats::tdist::{t_cdf, t_quantile};
 use itua_stats::timeweighted::TimeWeighted;
@@ -45,16 +43,6 @@ proptest! {
         prop_assert!(q2 >= q);
     }
 
-    /// Percentiles lie within the sample range and are monotone in q.
-    #[test]
-    fn percentile_bounds(mut xs in prop::collection::vec(-1e6f64..1e6, 1..100), q in 0.0f64..1.0) {
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let p = percentile(&xs, q).unwrap();
-        prop_assert!(p >= xs[0] && p <= xs[xs.len() - 1]);
-        let p2 = percentile(&xs, (q + 0.05).min(1.0)).unwrap();
-        prop_assert!(p2 >= p);
-    }
-
     /// The time-weighted mean lies between the extreme levels.
     #[test]
     fn timeweighted_mean_bounded(
@@ -72,18 +60,5 @@ proptest! {
         let lo = levels.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = levels.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(mean >= lo - 1e-9 && mean <= hi + 1e-9);
-    }
-
-    /// Batch means: grand mean equals the mean of the consumed prefix.
-    #[test]
-    fn batch_means_grand_mean(xs in prop::collection::vec(-100.0f64..100.0, 10..300), bs in 1u64..20) {
-        let mut bm = BatchMeans::new(bs);
-        for &x in &xs {
-            bm.push(x);
-        }
-        let consumed = (xs.len() as u64 / bs * bs) as usize;
-        prop_assume!(consumed > 0);
-        let expected = xs[..consumed].iter().sum::<f64>() / consumed as f64;
-        prop_assert!((bm.mean() - expected).abs() < 1e-9 * (1.0 + expected.abs()));
     }
 }

@@ -10,10 +10,9 @@
 //! * (d) fraction of domains excluded at t = 5.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Total hosts in the study.
 pub const TOTAL_HOSTS: usize = 12;
@@ -96,25 +95,6 @@ pub fn measures() -> Vec<String> {
     ]
 }
 
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the study with explicit execution options (threads, progress,
-/// resumable result store under sweep id `"figure3"`).
-///
-/// The simulation backends run the paper's 12-host [`points`]; the
-/// analytic backend runs the exact-solvable [`micro_points`] instead
-/// (its store id is `figure3-analytic`, so the two never mix).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
-}
-
 /// Renders the extracted series as the figure's four panels.
 pub fn render(all: &[Series]) -> FigureResult {
     let excluded_at_5 = format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, HORIZON);
@@ -157,6 +137,7 @@ pub fn render(all: &[Series]) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepConfig;
 
     #[test]
     fn study_has_24_points() {
@@ -198,7 +179,7 @@ mod tests {
             replications: 5,
             ..Default::default()
         };
-        let fig = run(&cfg);
+        let fig = crate::study::run_des(&STUDY, &cfg);
         assert_eq!(fig.panels.len(), 4);
         // Panels (a), (b), (d) have one series per app count; (c) may drop
         // series that never observed an exclusion with so few reps.

@@ -8,10 +8,9 @@
 //! * (d) fraction of domains excluded at t = 5 and t = 10.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Number of security domains.
 pub const NUM_DOMAINS: usize = 10;
@@ -114,21 +113,6 @@ pub fn measures() -> Vec<String> {
     ]
 }
 
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the full study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"figure4"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
-}
-
 /// Renders the extracted series as the figure's four panels.
 pub fn render(all: &[Series]) -> FigureResult {
     let excl5 = format!("{}@{}", names::FRAC_DOMAINS_EXCLUDED, HORIZONS[0]);
@@ -186,6 +170,7 @@ pub fn render(all: &[Series]) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepConfig;
     use itua_runner::backend::BackendKind;
 
     #[test]
@@ -230,7 +215,7 @@ mod tests {
             replications: 5,
             ..Default::default()
         };
-        let fig = run(&cfg);
+        let fig = crate::study::run_des(&STUDY, &cfg);
         assert_eq!(fig.panels.len(), 4);
         assert_eq!(fig.panels[0].series.len(), 2); // [0,5] and [0,10]
         assert_eq!(fig.panels[3].series.len(), 2); // t=5 and t=10

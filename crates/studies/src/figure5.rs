@@ -13,10 +13,9 @@
 //! each comparing the two exclusion schemes.
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::{ManagementScheme, Params};
-use std::io;
 
 /// Number of security domains.
 pub const NUM_DOMAINS: usize = 10;
@@ -128,21 +127,6 @@ pub fn measures() -> Vec<String> {
     ]
 }
 
-/// Runs the full study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the full study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"figure5"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
-}
-
 /// Renders the extracted series as the figure's four panels.
 pub fn render(all: &[Series]) -> FigureResult {
     let take = |measure: &str, horizon_tag: &str| -> Vec<Series> {
@@ -187,6 +171,7 @@ pub fn render(all: &[Series]) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepConfig;
 
     #[test]
     fn study_covers_grid() {
@@ -227,7 +212,7 @@ mod tests {
             replications: 5,
             ..Default::default()
         };
-        let fig = run(&cfg);
+        let fig = crate::study::run_des(&STUDY, &cfg);
         assert_eq!(fig.panels.len(), 4);
         for panel in &fig.panels {
             assert_eq!(panel.series.len(), 2, "panel {}", panel.id);

@@ -13,21 +13,27 @@
 //! * [`sensitivity`] — one-at-a-time sensitivity of the baseline to the
 //!   defense parameters (the exploration §4 mentions).
 //! * [`study`] — declarative [`study::Study`] descriptors: every shipped
-//!   figure reduced to (id, points, measures, renderer), the single run
-//!   path behind both the legacy figure binaries and the `itua` CLI's
-//!   scenario registry.
-//! * [`sweep`] — the generic sweep/estimation machinery.
+//!   figure reduced to (id, points, measures, renderer). The `itua-scenario`
+//!   registry wraps them as the built-in scenarios `itua run` executes.
+//! * [`sweep`] — the generic sweep/estimation machinery, entered through
+//!   [`sweep::run_sweep_stored`].
 //! * [`table`] — plain-text rendering of figure series.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use itua_studies::figure3;
-//! use itua_studies::sweep::SweepConfig;
+//! use itua_runner::backend::BackendKind;
+//! use itua_studies::study;
+//! use itua_studies::sweep::{run_sweep_stored, RunOpts, SweepConfig};
 //!
-//! let cfg = SweepConfig { replications: 2000, ..SweepConfig::default() };
-//! let result = figure3::run(&cfg);
-//! println!("{}", itua_studies::table::render(&result));
+//! let fig3 = study::by_id("figure3").unwrap();
+//! let measures = (fig3.measures)();
+//! let refs: Vec<&str> = measures.iter().map(String::as_str).collect();
+//! let points = fig3.points_for(BackendKind::Des);
+//! let cfg = SweepConfig::default();
+//! let series = run_sweep_stored(fig3.id, &points, &cfg, &refs, &RunOpts::default())?;
+//! println!("{}", itua_studies::table::render(&(fig3.render)(&series)));
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -17,10 +17,9 @@
 //! * false-alarm rate (baseline 2/h cumulative).
 
 use crate::study::Study;
-use crate::sweep::{FigureResult, Panel, RunOpts, Series, SweepConfig, SweepPoint};
+use crate::sweep::{FigureResult, Panel, Series, SweepPoint};
 use itua_core::measures::names;
 use itua_core::params::Params;
-use std::io;
 
 /// Baseline configuration of the study (the paper's §4 defaults).
 pub fn baseline() -> Params {
@@ -103,21 +102,6 @@ pub fn measures() -> Vec<String> {
     ]
 }
 
-/// Runs the sensitivity study.
-pub fn run(cfg: &SweepConfig) -> FigureResult {
-    STUDY.run(cfg)
-}
-
-/// Runs the sensitivity study with explicit execution options (threads,
-/// progress, resumable result store under sweep id `"sensitivity"`).
-///
-/// # Errors
-///
-/// Propagates backend failures and result-store write errors.
-pub fn run_with(cfg: &SweepConfig, opts: &RunOpts<'_>) -> io::Result<FigureResult> {
-    STUDY.run_with(cfg, opts)
-}
-
 /// Renders the extracted series as the study's two panels.
 pub fn render(all: &[Series]) -> FigureResult {
     let take = |measure: &str| -> Vec<Series> {
@@ -148,6 +132,7 @@ pub fn render(all: &[Series]) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepConfig;
 
     #[test]
     fn grid_covers_five_parameters() {
@@ -174,7 +159,7 @@ mod tests {
             replications: 5,
             ..Default::default()
         };
-        let fig = run(&cfg);
+        let fig = crate::study::run_des(&STUDY, &cfg);
         assert_eq!(fig.panels.len(), 2);
         assert_eq!(fig.panels[0].series.len(), 5);
     }
@@ -188,7 +173,9 @@ mod tests {
             ..Default::default()
         };
         let pts: Vec<_> = points().into_iter().filter(|p| p.x == 1.0).collect();
-        let series = crate::sweep::run_sweep(&pts, &cfg, &["unavailability"]);
+        let opts = crate::sweep::RunOpts::default();
+        let series =
+            crate::sweep::run_sweep_stored("t", &pts, &cfg, &["unavailability"], &opts).unwrap();
         // Different series are run with different point indices (seeds),
         // so we only check they are close, not identical.
         let means: Vec<f64> = series.iter().map(|s| s.points[0].1.mean).collect();

@@ -1,13 +1,13 @@
 //! Generic sweep machinery: run the ITUA model over a list of parameter
 //! points and aggregate measures with confidence intervals.
 //!
-//! Execution goes through [`itua_runner`]: each point builds an
-//! [`ItuaBackend`] (DES or composed SAN — see [`RunOpts::backend`]) and
-//! hands it to [`itua_runner::run_measures`], which spreads the
-//! replications over the [`RunnerConfig`]'s worker threads with one
-//! reusable scratch state per thread (bit-identical results for every
-//! thread count). [`run_sweep_stored`] adds progress reporting plus
-//! checkpoint/resume through a JSON result store.
+//! [`run_sweep_stored`] is the one entry point. Execution goes through
+//! [`itua_runner`]: each point builds an [`ItuaBackend`] (DES, composed
+//! SAN or exact CTMC — see [`RunOpts::backend`]) and hands it to
+//! [`run_measures_checked`], which spreads the replications over the
+//! [`RunnerConfig`]'s worker threads with one reusable scratch state per
+//! thread (bit-identical results for every thread count), plus progress
+//! reporting and checkpoint/resume through a JSON result store.
 
 use itua_core::measures::MeasureSet;
 use itua_core::params::Params;
@@ -178,149 +178,31 @@ impl Default for RunOpts<'static> {
     }
 }
 
-/// Runs the chosen backend at one sweep point and returns the aggregated
-/// measures.
+/// Runs every sweep point with the execution options in `opts` and
+/// extracts, per `(series, measure)` pair, the x-ordered estimates;
+/// `measures` lists the measure keys to extract.
 ///
-/// Replication `i` uses `stream_seed(stream_seed(cfg.base_seed,
-/// point_index), i)`; replications are spread over the runner's threads
-/// (one reusable scratch state per thread) and recorded in replication
-/// order, so the result does not depend on the thread count.
+/// Point `j` runs on its own stream origin `stream_seed(cfg.base_seed,
+/// j)`; replications are spread over the runner's threads (one reusable
+/// scratch state per thread) and recorded in replication order, so the
+/// result does not depend on the thread count.
 ///
-/// # Errors
-///
-/// Fails when the backend cannot be built for the point's parameters or
-/// a replication errors (SAN simulation errors surface here; the DES
-/// cannot fail at run time).
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_backend(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    backend: BackendKind,
-    backend_opts: &BackendOptions,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-    check: ModelCheck,
-) -> Result<MeasureSet, BackendError> {
-    run_point_backend_split(
-        point,
-        cfg,
-        point_index,
-        backend,
-        backend_opts,
-        runner,
-        progress,
-        check,
-        None,
-    )
-}
-
-/// [`run_point_backend`] with an optional RESTART splitting
-/// specification: `Some(spec)` runs one importance-splitting tree per
-/// replication (see [`itua_runner::split::run_measures_split`]) instead
-/// of one plain trajectory. `None` — and `Some` of an empty spec, bit
-/// for bit — reproduces the plain path.
-///
-/// # Errors
-///
-/// As [`run_point_backend`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_backend_split(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    backend: BackendKind,
-    backend_opts: &BackendOptions,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-    check: ModelCheck,
-    split: Option<&SplitSpec>,
-) -> Result<MeasureSet, BackendError> {
-    let backend = ItuaBackend::for_params_with(backend, &point.params, backend_opts)?;
-    let origin = stream_seed(cfg.base_seed, point_index as u64);
-    match split {
-        Some(spec) => run_measures_split(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            spec,
-            runner,
-            progress,
-            check,
-        )
-        .map(|run| run.measures),
-        None => run_measures_checked(
-            &backend,
-            cfg.replications,
-            cfg.confidence,
-            origin,
-            point.horizon,
-            &point.sample_times,
-            runner,
-            progress,
-            check,
-        ),
-    }
-}
-
-/// [`run_point_backend`] with the DES backend, which cannot fail for
-/// valid parameters.
-pub fn run_point_with(
-    point: &SweepPoint,
-    cfg: &SweepConfig,
-    point_index: usize,
-    runner: &RunnerConfig,
-    progress: &dyn Progress,
-) -> MeasureSet {
-    run_point_backend(
-        point,
-        cfg,
-        point_index,
-        BackendKind::Des,
-        &BackendOptions::default(),
-        runner,
-        progress,
-        ModelCheck::Quick,
-    )
-    .expect("sweep point parameters are valid")
-}
-
-/// [`run_point_with`] on auto-configured threads, without progress output.
-pub fn run_point(point: &SweepPoint, cfg: &SweepConfig, point_index: usize) -> MeasureSet {
-    run_point_with(
-        point,
-        cfg,
-        point_index,
-        &RunnerConfig::default(),
-        &NullProgress,
-    )
-}
-
-/// Runs every sweep point and extracts, per `(series, measure)` pair, the
-/// x-ordered estimates. `measures` lists the measure keys to extract.
-pub fn run_sweep(points: &[SweepPoint], cfg: &SweepConfig, measures: &[&str]) -> Vec<Series> {
-    run_sweep_stored("adhoc", points, cfg, measures, &RunOpts::default())
-        .expect("storeless DES sweep cannot fail")
-}
-
-/// Like [`run_sweep`], but with explicit execution options and — when
-/// `opts.results_dir` is set — checkpoint/resume: after every point the
-/// store `<results_dir>/<store id>.json` is rewritten, and a rerun with
-/// the same configuration restarts at the first incomplete point. A
-/// changed configuration (backend, replications, seed, confidence, or
-/// any point) invalidates the store via its fingerprint.
+/// When `opts.results_dir` is set the sweep checkpoints and resumes:
+/// after every point the store `<results_dir>/<store id>.json` is
+/// rewritten, and a rerun with the same configuration restarts at the
+/// first incomplete point. A changed configuration (backend,
+/// replications, seed, confidence, or any point) invalidates the store
+/// via its fingerprint.
 ///
 /// An unusable results directory is not fatal: the sweep warns on
 /// stderr and runs without checkpoint/resume.
 ///
 /// # Errors
 ///
-/// Propagates backend failures and result-store write errors from the
-/// runner layer; points completed before the failure stay in the store,
-/// so a rerun resumes after them.
+/// Propagates backend failures (a backend that cannot be built for a
+/// point's parameters, or a SAN simulation error) and result-store write
+/// errors from the runner layer; points completed before the failure stay
+/// in the store, so a rerun resumes after them.
 pub fn run_sweep_stored(
     sweep_id: &str,
     points: &[SweepPoint],
@@ -364,21 +246,52 @@ pub fn run_sweep_stored(
         None => SweepRunner::new(opts.progress),
     };
     let stored = runner.run(&specs, |_, i| {
-        let ms = run_point_backend_split(
-            &points[i],
-            cfg,
-            i,
-            opts.backend,
-            &opts.backend_opts,
-            &opts.runner,
-            opts.progress,
-            opts.check,
-            opts.split.as_ref(),
-        )
-        .map_err(io::Error::from)?;
+        let ms = run_point_backend_split(&points[i], cfg, i, opts).map_err(io::Error::from)?;
         Ok(ms.estimates().iter().map(StoredEstimate::from).collect())
     })?;
     Ok(series_from(&stored, measures))
+}
+
+/// Runs sweep point `point_index` on `opts.backend`: one plain trajectory
+/// per replication, or — with `opts.split` set — one RESTART
+/// importance-splitting tree per replication (see
+/// [`itua_runner::split::run_measures_split`]). No spec and an empty spec
+/// reproduce each other bit for bit.
+fn run_point_backend_split(
+    point: &SweepPoint,
+    cfg: &SweepConfig,
+    point_index: usize,
+    opts: &RunOpts<'_>,
+) -> Result<MeasureSet, BackendError> {
+    let backend = ItuaBackend::for_params_with(opts.backend, &point.params, &opts.backend_opts)?;
+    let origin = stream_seed(cfg.base_seed, point_index as u64);
+    let (runner, progress, check) = (&opts.runner, opts.progress, opts.check);
+    match &opts.split {
+        Some(spec) => run_measures_split(
+            &backend,
+            cfg.replications,
+            cfg.confidence,
+            origin,
+            point.horizon,
+            &point.sample_times,
+            spec,
+            runner,
+            progress,
+            check,
+        )
+        .map(|run| run.measures),
+        None => run_measures_checked(
+            &backend,
+            cfg.replications,
+            cfg.confidence,
+            origin,
+            point.horizon,
+            &point.sample_times,
+            runner,
+            progress,
+            check,
+        ),
+    }
 }
 
 /// The result-store id for a sweep run with a given backend: DES keeps
@@ -483,6 +396,11 @@ mod tests {
     use super::*;
     use itua_core::measures::names;
 
+    /// A DES sweep on the default options, without a result store.
+    fn storeless(points: &[SweepPoint], cfg: &SweepConfig, measures: &[&str]) -> Vec<Series> {
+        run_sweep_stored("t", points, cfg, measures, &RunOpts::default()).unwrap()
+    }
+
     fn tiny_point(x: f64, series: &str) -> SweepPoint {
         SweepPoint {
             x,
@@ -510,14 +428,15 @@ mod tests {
     }
 
     #[test]
-    fn run_point_produces_measures() {
+    fn sweep_produces_measures() {
         let cfg = SweepConfig {
             replications: 20,
             ..Default::default()
         };
-        let ms = run_point(&tiny_point(1.0, "s"), &cfg, 0);
-        assert!(ms.mean(names::UNAVAILABILITY).is_some());
-        assert!(ms.mean(names::UNRELIABILITY).is_some());
+        let measures = [names::UNAVAILABILITY, names::UNRELIABILITY];
+        let series = storeless(&[tiny_point(1.0, "s")], &cfg, &measures);
+        let got: Vec<&str> = series.iter().map(|s| s.measure.as_str()).collect();
+        assert_eq!(got, measures);
     }
 
     #[test]
@@ -531,7 +450,7 @@ mod tests {
             tiny_point(1.0, "a"),
             tiny_point(1.0, "b"),
         ];
-        let series = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
+        let series = storeless(&points, &cfg, &[names::UNAVAILABILITY]);
         assert_eq!(series.len(), 2);
         let a = series.iter().find(|s| s.name == "a").unwrap();
         assert_eq!(a.points.len(), 2);
@@ -545,23 +464,28 @@ mod tests {
             ..Default::default()
         };
         let points = vec![tiny_point(1.0, "a")];
-        let s1 = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
-        let s2 = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
+        let s1 = storeless(&points, &cfg, &[names::UNAVAILABILITY]);
+        let s2 = storeless(&points, &cfg, &[names::UNAVAILABILITY]);
         assert_eq!(s1, s2);
     }
 
     #[test]
-    fn run_point_is_thread_count_invariant() {
+    fn sweep_is_thread_count_invariant() {
         let cfg = SweepConfig {
             replications: 24,
             ..Default::default()
         };
-        let point = tiny_point(1.0, "s");
-        let serial =
-            run_point_with(&point, &cfg, 3, &RunnerConfig::serial(), &NullProgress).estimates();
+        let points = vec![tiny_point(1.0, "s"), tiny_point(2.0, "s")];
+        let run = |runner| {
+            let opts = RunOpts {
+                runner,
+                ..Default::default()
+            };
+            run_sweep_stored("t", &points, &cfg, &[names::UNAVAILABILITY], &opts).unwrap()
+        };
+        let serial = run(RunnerConfig::serial());
         for threads in [2, 4, 8] {
-            let rc = RunnerConfig::default().with_threads(threads);
-            let parallel = run_point_with(&point, &cfg, 3, &rc, &NullProgress).estimates();
+            let parallel = run(RunnerConfig::default().with_threads(threads));
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -587,7 +511,7 @@ mod tests {
         let second = run_sweep_stored("t", &points, &cfg, &measures, &opts).unwrap();
         assert_eq!(second, first);
         // And matches the storeless path bit for bit.
-        assert_eq!(run_sweep(&points, &cfg, &measures), first);
+        assert_eq!(storeless(&points, &cfg, &measures), first);
 
         // A changed configuration must not resume from the stale store.
         let cfg2 = SweepConfig {
@@ -766,7 +690,7 @@ mod tests {
         assert!((0.0..=1.0).contains(&v.mean));
         // Same seeds, different encoding: the SAN result is a genuine
         // second opinion, not a relabeled DES run.
-        let des = run_sweep(&points, &cfg, &[names::UNAVAILABILITY]);
+        let des = storeless(&points, &cfg, &[names::UNAVAILABILITY]);
         assert_eq!(des.len(), 1);
     }
 
@@ -855,7 +779,7 @@ mod tests {
         let points = vec![tiny_point(1.0, "a")];
         let series = run_sweep_stored("t", &points, &cfg, &[names::UNAVAILABILITY], &opts).unwrap();
         // The run completes and matches the storeless path exactly.
-        assert_eq!(run_sweep(&points, &cfg, &[names::UNAVAILABILITY]), series);
+        assert_eq!(storeless(&points, &cfg, &[names::UNAVAILABILITY]), series);
         std::fs::remove_file(&bogus).unwrap();
     }
 

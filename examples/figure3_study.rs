@@ -1,21 +1,27 @@
 //! The paper's §4.1 study: how should a fixed pool of hosts be divided
 //! into security domains?
 //!
-//! Reproduces Figure 3 at reduced replication count (use the
-//! `figure3` binary in `crates/bench` for publication-grade runs) and
-//! prints the design-question answer the paper derives from it.
+//! Reproduces Figure 3 at reduced replication count through the same
+//! scenario path as `itua run figure3` (use that command for
+//! publication-grade runs) and prints the design-question answer the
+//! paper derives from it.
 //!
 //! Run with: `cargo run --release --example figure3_study`
 
-use itua_repro::studies::sweep::SweepConfig;
-use itua_repro::studies::{figure3, table};
+use itua_repro::scenario::registry;
+use itua_repro::studies::sweep::{RunOpts, SweepConfig};
+use itua_repro::studies::table;
 
 fn main() {
     let cfg = SweepConfig {
         replications: 500,
         ..SweepConfig::default()
     };
-    let fig = figure3::run(&cfg);
+    let figure3 = registry::find("figure3").expect("figure3 is a built-in scenario");
+    let fig = figure3
+        .run(&cfg, &RunOpts::default())
+        .expect("a DES run without a result store cannot fail")
+        .swap_remove(0);
     println!("{}", table::render(&fig));
 
     // The design question of §4.1: is it better to use many small domains?

@@ -12,11 +12,10 @@ use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
 use itua_repro::itua::san_model;
 use itua_repro::markov::ctmc::Ctmc;
+use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
 use itua_repro::runner::experiment::ExperimentConfig;
 use itua_repro::runner::run_experiment_parallel;
-use itua_repro::runner::{
-    run_measures, BackendKind, BackendOptions, ItuaBackend, NullProgress, RunnerConfig,
-};
+use itua_repro::runner::{BackendKind, BackendOptions, ItuaBackend, NullProgress, RunnerConfig};
 use itua_repro::san::model::SanBuilder;
 use itua_repro::san::reward::{EverTrue, TimeAveraged};
 use itua_repro::san::simulator::SanSimulator;
@@ -222,10 +221,10 @@ fn pure_death_unreliability() {
     );
 }
 
-/// The analytic ITUA backend, driven through the unified `run_measures`
-/// pipeline, matches a bespoke solve built directly from the state
-/// space: flatten the composed SAN, accumulate the improper-service
-/// reward, and divide by the horizon. The backend runs with `--no-lump`
+/// The analytic ITUA backend, driven through the unified
+/// `run_measures_checked` pipeline, matches a bespoke solve built
+/// directly from the state space: flatten the composed SAN, accumulate
+/// the improper-service reward, and divide by the horizon. The backend runs with `--no-lump`
 /// here because the claim is bit-for-bit pipeline wiring against the
 /// *unreduced* chain the direct solve builds; the lumped quotient is a
 /// different (smaller) chain, checked against this one to 1e-9 in
@@ -254,7 +253,7 @@ fn analytic_backend_matches_direct_state_space_solve() {
         ..BackendOptions::default()
     };
     let backend = ItuaBackend::for_params_with(BackendKind::Analytic, &params, &opts).unwrap();
-    let ms = run_measures(
+    let ms = run_measures_checked(
         &backend,
         50,
         0.95,
@@ -263,6 +262,7 @@ fn analytic_backend_matches_direct_state_space_solve() {
         &[horizon],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .unwrap();
     let unavailability = ms.mean(names::UNAVAILABILITY).unwrap();

@@ -4,8 +4,8 @@
 //! of the analytic value — not merely agree with the other simulator.
 //!
 //! All three backends run through the unified pipeline
-//! ([`itua_repro::runner::run_measures`]), exactly the code path the
-//! figure binaries use with `--backend des|san|analytic`. The analytic
+//! ([`itua_repro::runner::backend::run_measures_checked`]), exactly the
+//! code path `itua run` uses with `--backend des|san|analytic`. The analytic
 //! leg short-circuits replication and returns zero-variance estimates.
 //!
 //! Compared measures are the ones with a marking-level reward
@@ -21,7 +21,8 @@
 
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
-use itua_repro::runner::{run_measures, BackendKind, ItuaBackend, NullProgress, RunnerConfig};
+use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
+use itua_repro::runner::{BackendKind, ItuaBackend, NullProgress, RunnerConfig};
 use itua_repro::stats::replication::Estimate;
 
 const HORIZON: f64 = 5.0;
@@ -52,7 +53,7 @@ fn no_spread(domains: usize, hosts: usize, apps: usize, reps: usize) -> Params {
 /// backend and returns the estimates.
 fn estimates(kind: BackendKind, params: &Params, reps: u32, origin_seed: u64) -> Vec<Estimate> {
     let backend = ItuaBackend::for_params(kind, params).expect("valid params");
-    run_measures(
+    run_measures_checked(
         &backend,
         reps,
         CONFIDENCE,
@@ -61,6 +62,7 @@ fn estimates(kind: BackendKind, params: &Params, reps: u32, origin_seed: u64) ->
         &[HORIZON],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .expect("backend run succeeds")
     .estimates()

@@ -19,7 +19,8 @@
 use itua_repro::itua::analytic::{AnalyticError, AnalyticOptions, ItuaAnalytic};
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
-use itua_repro::runner::{run_measures, BackendKind, ItuaBackend, NullProgress, RunnerConfig};
+use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
+use itua_repro::runner::{BackendKind, ItuaBackend, NullProgress, RunnerConfig};
 use itua_repro::stats::replication::Estimate;
 use proptest::prelude::*;
 
@@ -126,7 +127,7 @@ fn estimates(
     horizon: f64,
 ) -> Vec<Estimate> {
     let backend = ItuaBackend::for_params(kind, params).expect("valid params");
-    run_measures(
+    run_measures_checked(
         &backend,
         reps,
         CONFIDENCE,
@@ -135,6 +136,7 @@ fn estimates(
         &[horizon],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .expect("backend run succeeds")
     .estimates()

@@ -6,9 +6,9 @@
 //! implementations share no model code (only the parameter set), so any
 //! semantic divergence shows up as a statistically significant gap. Both
 //! encodings run through the unified backend pipeline
-//! ([`itua_repro::runner::run_measures`]), which spreads the replications
-//! over worker threads with per-thread scratch reuse — so this also
-//! exercises exactly the code path the figure binaries use with
+//! ([`itua_repro::runner::backend::run_measures_checked`]), which spreads
+//! the replications over worker threads with per-thread scratch reuse —
+//! so this also exercises exactly the code path `itua run` uses with
 //! `--backend des` / `--backend san`.
 //!
 //! `frac_corrupt_hosts_at_exclusion` is deliberately not compared: the
@@ -18,7 +18,8 @@
 
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::{ManagementScheme, Params};
-use itua_repro::runner::{run_measures, BackendKind, ItuaBackend, NullProgress, RunnerConfig};
+use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
+use itua_repro::runner::{BackendKind, ItuaBackend, NullProgress, RunnerConfig};
 use itua_repro::stats::replication::Estimate;
 
 /// Runs one configuration through the unified pipeline on the given
@@ -31,7 +32,7 @@ fn estimates(
     origin_seed: u64,
 ) -> Vec<Estimate> {
     let backend = ItuaBackend::for_params(kind, params).expect("valid params");
-    run_measures(
+    run_measures_checked(
         &backend,
         reps,
         0.99,
@@ -40,6 +41,7 @@ fn estimates(
         &[horizon],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .expect("simulation succeeds")
     .estimates()

@@ -17,10 +17,9 @@
 use itua_repro::itua::measures::names;
 use itua_repro::itua::params::Params;
 use itua_repro::rare::SplitSpec;
-use itua_repro::runner::backend::ModelCheck;
+use itua_repro::runner::backend::{run_measures_checked, ModelCheck};
 use itua_repro::runner::{
-    run_measures, run_measures_split, BackendKind, ItuaBackend, NullProgress, RunnerConfig,
-    SplitRun,
+    run_measures_split, BackendKind, ItuaBackend, NullProgress, RunnerConfig, SplitRun,
 };
 
 const HORIZON: f64 = 5.0;
@@ -47,7 +46,7 @@ fn spec() -> SplitSpec {
 fn exact_value(measure: &str) -> f64 {
     let backend = ItuaBackend::for_params(BackendKind::Analytic, &micro_params())
         .expect("analytic micro backend");
-    run_measures(
+    run_measures_checked(
         &backend,
         1,
         CONFIDENCE,
@@ -56,6 +55,7 @@ fn exact_value(measure: &str) -> f64 {
         &[HORIZON],
         &RunnerConfig::default(),
         &NullProgress,
+        ModelCheck::Quick,
     )
     .expect("analytic solution")
     .estimates()
