@@ -88,11 +88,6 @@ pub enum ReachError {
         /// The configured work budget.
         max_work: usize,
     },
-    /// A timed activity has a general (non-exponential) distribution.
-    GeneralTiming {
-        /// Activity name.
-        activity: String,
-    },
     /// A timed activity produced a NaN/infinite/negative rate at a
     /// reachable marking.
     BadRate {
@@ -121,9 +116,6 @@ impl std::fmt::Display for ReachError {
                     f,
                     "work budget exceeded: more than {max_work} firings explored"
                 )
-            }
-            ReachError::GeneralTiming { activity } => {
-                write!(f, "activity '{activity}' has a general distribution; exhaustive checking requires Markovian timing")
             }
             ReachError::BadRate { activity } => {
                 write!(
@@ -226,8 +218,8 @@ impl ReachGraph {
 /// # Errors
 ///
 /// Returns a structured [`ReachError`] on budget exhaustion
-/// (`StateBudget`, `WorkBudget`), general timing, or invalid
-/// rates/weights at a reachable marking.
+/// (`StateBudget`, `WorkBudget`) or invalid rates/weights at a
+/// reachable marking.
 pub fn explore(
     san: &San,
     cfg: &ReachConfig,
@@ -244,14 +236,6 @@ fn explore_dyn(
     symmetry: Option<&SymmetrySpec>,
     on_fire: &mut OnFire<'_>,
 ) -> Result<ReachGraph, ReachError> {
-    for (_, act) in san.activities() {
-        if matches!(act.timing(), Timing::General(_)) {
-            return Err(ReachError::GeneralTiming {
-                activity: act.name().to_owned(),
-            });
-        }
-    }
-
     let num_places = san.num_places();
     let mut index: HashMap<Vec<i32>, usize> = HashMap::new();
     let mut states: Vec<Vec<i32>> = Vec::new();
@@ -505,14 +489,8 @@ pub struct TangibleGraph {
 /// # Errors
 ///
 /// The same [`SanError`] family the statespace generator returns:
-/// `NonMarkovian`, `StateSpaceTooLarge`, `BadValue`, `Unstabilized`.
+/// `StateSpaceTooLarge`, `BadValue`, `Unstabilized`.
 pub fn tangible_projection(san: &San, max_states: usize) -> Result<TangibleGraph, SanError> {
-    for (_, act) in san.activities() {
-        if let Timing::General(_) = act.timing() {
-            return Err(SanError::NonMarkovian(act.name().to_owned()));
-        }
-    }
-
     let mut index: HashMap<Vec<i32>, usize> = HashMap::new();
     let mut markings: Vec<Vec<i32>> = Vec::new();
     let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
@@ -559,7 +537,6 @@ pub fn tangible_projection(san: &San, max_states: usize) -> Result<TangibleGraph
             let rate_fn = match act.timing() {
                 Timing::Exponential(r) => r,
                 Timing::Instantaneous => continue,
-                Timing::General(_) => unreachable!("checked above"),
             };
             if !act.enabled(&marking) {
                 continue;

@@ -8,7 +8,8 @@
 //!   and the usage text, and exits with status 2.
 //! * `itua check <scenario|file.scn> [flags]` — run the full structural
 //!   analyzer over the scenario's models without simulating; exit 2 on
-//!   hard findings (or an invalid scenario file).
+//!   hard findings (or an invalid scenario file). `itua check` refuses
+//!   `run`-only flags, and `itua run` refuses `--exhaustive` and `--json`.
 
 use itua_bench::{driver, FigureCli};
 use itua_scenario::registry;
@@ -25,9 +26,11 @@ commands:
                                --max-states N, --lump, --no-lump, --results DIR,
                                --no-resume, --check, --no-check,
                                --split-levels SPEC, --quiet)
-  check <scenario|file.scn>    model check only, no simulation (--backend selects
-                               which points are analyzed; --backend analytic picks
-                               a study's micro variant); exit 2 on hard findings.
+  check <scenario|file.scn>    model check only, no simulation (flags: --backend,
+                               --max-states N, --exhaustive, --json, --quiet);
+                               exit 2 on hard findings. --backend selects which
+                               points are analyzed (--backend analytic picks a
+                               study's micro variant).
                                --exhaustive proves the conservation families,
                                exact place bounds, and .scn assert claims over
                                every reachable marking (symmetry-reduced, budget
@@ -68,7 +71,7 @@ fn main() {
                 eprintln!("error: {e}");
                 std::process::exit(2);
             });
-            let cli = FigureCli::parse(args).unwrap_or_else(|e| {
+            let cli = FigureCli::parse(&cmd, args).unwrap_or_else(|e| {
                 eprintln!("error: {e}\n\n{USAGE}");
                 std::process::exit(2);
             });

@@ -528,7 +528,7 @@ mod tests {
             "assert = max(*/host_corrupt) <= 1\n\
              assert = sum(itua/apps[0]/*/has_started) <= 2\n",
         );
-        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
+        let mut cli = FigureCli::parse("check", Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
         cli.check_max_states = Some(200_000);
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn exhaustive_check_rejects_budget_bad_globs_and_false_claims() {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
-        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
+        let mut cli = FigureCli::parse("check", Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
         cli.check_max_states = Some(200_000);
 
@@ -561,7 +561,7 @@ mod tests {
     fn structural_json_check_emits_exit_zero_on_clean_micro() {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let scenario = micro_scn(&dir, "structural.scn", "");
-        let mut cli = FigureCli::parse(Vec::<String>::new()).unwrap();
+        let mut cli = FigureCli::parse("check", Vec::<String>::new()).unwrap();
         cli.json = true;
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
     }

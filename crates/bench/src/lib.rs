@@ -16,6 +16,9 @@ use std::path::PathBuf;
 
 /// The flags of `itua run` and `itua check`.
 ///
+/// `itua check` accepts only `--backend`, `--max-states`, `--exhaustive`,
+/// `--json` and `--quiet`; `itua run` accepts every other flag below.
+///
 /// Supported arguments:
 ///
 /// * `--backend des|san|analytic` — which backend runs the study: the
@@ -105,16 +108,31 @@ pub struct FigureCli {
     pub quiet: bool,
 }
 
+/// The flags `itua check` reads; every other flag belongs to `itua run`.
+const CHECK_FLAGS: &[&str] = &[
+    "--backend",
+    "--max-states",
+    "--exhaustive",
+    "--json",
+    "--quiet",
+];
+
+/// The flags only `itua check` reads.
+const CHECK_ONLY_FLAGS: &[&str] = &["--exhaustive", "--json"];
+
 impl FigureCli {
-    /// Parses `std::env::args`-style arguments (excluding `argv[0]`).
+    /// Parses the `std::env::args`-style arguments (excluding `argv[0]`
+    /// and the subcommand) of `itua <cmd>`, where `cmd` is `"run"` or
+    /// `"check"`.
     ///
     /// `--no-resume` wins over `--results DIR` whatever their order.
     ///
     /// # Errors
     ///
     /// A one-line message naming the offending flag on an unknown flag, a
-    /// missing value, or a malformed one.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+    /// flag the subcommand does not read, a missing value, or a malformed
+    /// one.
+    pub fn parse<I: IntoIterator<Item = String>>(cmd: &str, args: I) -> Result<Self, String> {
         let mut cli = FigureCli {
             backend: BackendKind::Des,
             backend_opts: BackendOptions::default(),
@@ -134,6 +152,14 @@ impl FigureCli {
         let mut no_resume = false;
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let accepted = if cmd == "check" {
+                CHECK_FLAGS.contains(&arg.as_str())
+            } else {
+                !CHECK_ONLY_FLAGS.contains(&arg.as_str())
+            };
+            if !accepted {
+                return Err(format!("{arg} is not a flag of 'itua {cmd}'"));
+            }
             match arg.as_str() {
                 "--backend" => {
                     let what = "'des', 'san', or 'analytic'";
@@ -262,8 +288,12 @@ pub fn check_models(points: &[SweepPoint]) -> bool {
 mod tests {
     use super::*;
 
+    fn parse_cmd(cmd: &str, args: &[&str]) -> Result<FigureCli, String> {
+        FigureCli::parse(cmd, args.iter().map(|a| (*a).to_owned()))
+    }
+
     fn parse(args: &[&str]) -> Result<FigureCli, String> {
-        FigureCli::parse(args.iter().map(|a| (*a).to_owned()))
+        parse_cmd("run", args)
     }
 
     fn parsed(args: &[&str]) -> FigureCli {
@@ -342,7 +372,11 @@ mod tests {
 
     #[test]
     fn parses_exhaustive_json_and_check_budget() {
-        let cli = parsed(&["--exhaustive", "--json", "--max-states", "50000"]);
+        let cli = parse_cmd(
+            "check",
+            &["--exhaustive", "--json", "--max-states", "50000"],
+        )
+        .unwrap();
         assert!(cli.exhaustive);
         assert!(cli.json);
         assert_eq!(cli.check_max_states, Some(50000));
@@ -458,5 +492,50 @@ mod tests {
     #[test]
     fn rejects_unknown_flag() {
         assert!(parse(&["--nope"]).is_err());
+    }
+
+    #[test]
+    fn run_rejects_check_only_flags() {
+        for flag in ["--exhaustive", "--json"] {
+            let err = parse(&["--reps", "2", flag]).unwrap_err();
+            assert_eq!(err, format!("{flag} is not a flag of 'itua run'"));
+        }
+    }
+
+    #[test]
+    fn check_accepts_only_the_flags_it_reads() {
+        let cli = parse_cmd(
+            "check",
+            &[
+                "--backend",
+                "analytic",
+                "--max-states",
+                "50",
+                "--exhaustive",
+                "--json",
+                "--quiet",
+            ],
+        )
+        .unwrap();
+        assert_eq!(cli.backend, BackendKind::Analytic);
+        assert_eq!(cli.check_max_states, Some(50));
+        assert!(cli.exhaustive && cli.json && cli.quiet);
+        for args in [
+            &["--reps", "5"][..],
+            &["--csv"],
+            &["--split-levels", "1x2"],
+            &["--results", "out"],
+            &["--seed", "1"],
+            &["--threads", "2"],
+            &["--batch", "2"],
+            &["--lump"],
+            &["--no-lump"],
+            &["--no-resume"],
+            &["--check"],
+            &["--no-check"],
+        ] {
+            let err = parse_cmd("check", args).unwrap_err();
+            assert_eq!(err, format!("{} is not a flag of 'itua check'", args[0]));
+        }
     }
 }

@@ -172,11 +172,6 @@ impl Ctmc {
         &self.rates
     }
 
-    /// Exit rate of state `s`.
-    pub fn exit_rate(&self, s: usize) -> f64 {
-        self.exit_rates[s]
-    }
-
     /// The uniformization rate `Λ` (strictly larger than every exit rate so
     /// the uniformized DTMC is aperiodic).
     pub fn uniformization_rate(&self) -> f64 {

@@ -2,12 +2,10 @@
 //!
 //! Implements the standard SAN execution semantics:
 //!
-//! * **Timed activities** race: each enabled activity holds a sampled
-//!   completion time; the earliest fires. Exponential activities are
-//!   resampled whenever a place they read changes (valid by memorylessness
-//!   and required for marking-dependent rates); generally distributed
-//!   activities keep their sample while continuously enabled and lose it
-//!   when disabled (enabling memory policy).
+//! * **Timed activities** are exponential and race: each enabled activity
+//!   holds a sampled completion time; the earliest fires. An activity is
+//!   resampled whenever a place it reads changes (valid by memorylessness
+//!   and required for marking-dependent rates).
 //! * **Instantaneous activities** fire in zero time whenever enabled. When
 //!   several are enabled at once, one is chosen uniformly at random — the
 //!   "identical copies equally likely to fire first" rule the ITUA model
@@ -84,16 +82,6 @@ pub struct SanSimulator {
 /// instantaneous enabling index and the timed reschedule index) while
 /// keeping the log's memory bounded.
 const DIRTY_LOG_CLEAR_LEN: usize = 512;
-
-/// Inserts a completion event for `id` at absolute time `time`.
-fn schedule_at(
-    id: ActivityId,
-    time: f64,
-    queue: &mut EventQueue<ActivityId>,
-    keys: &mut [Option<EventKey>],
-) {
-    keys[id.index()] = Some(queue.schedule(time, id));
-}
 
 /// Persistent sorted set of the enabled instantaneous activities, kept in
 /// sync with the marking's dirty log.
@@ -275,10 +263,10 @@ impl TimedIndex {
 /// Exponential delays within one scheduling pass are sampled as a block:
 /// `schedule` records `(activity, rate)` pairs, and `flush` draws all
 /// pending uniforms with one [`Rng::fill_f64_open`] call and converts
-/// them with a branch-free `-ln(u)/rate` pass over the slice. A flush
-/// happens before any general-distribution sample, so the global RNG
-/// draw order — and with it the event-queue insertion order and every
-/// estimate — is bit-identical to unbatched scheduling.
+/// them with a branch-free `-ln(u)/rate` pass over the slice. Draws and
+/// insertions keep the scheduling order, so the RNG stream — and with it
+/// the event-queue insertion order and every estimate — is bit-identical
+/// to unbatched scheduling.
 #[derive(Clone)]
 struct ExpoBatch {
     now: f64,
@@ -301,38 +289,22 @@ impl ExpoBatch {
         self.now = now;
     }
 
-    /// Schedules a timed activity: exponential draws are deferred into
-    /// the batch; general distributions flush the batch first (preserving
-    /// the global draw order) and sample immediately.
-    fn schedule(
-        &mut self,
-        act: &Activity,
-        id: ActivityId,
-        marking: &Marking,
-        rng: &mut Rng,
-        queue: &mut EventQueue<ActivityId>,
-        keys: &mut [Option<EventKey>],
-    ) {
-        match act.timing() {
-            Timing::Exponential(rate) => {
-                let r = rate(marking);
-                assert!(
-                    r.is_finite() && r >= 0.0,
-                    "activity '{}' produced invalid rate {r}",
-                    act.name()
-                );
-                if r == 0.0 {
-                    return; // rate 0 = effectively disabled; draws nothing
-                }
-                self.pending.push((id, r));
-            }
-            Timing::General(dist) => {
-                self.flush(rng, queue, keys);
-                let delay = dist.sample(rng);
-                schedule_at(id, self.now + delay, queue, keys);
-            }
-            Timing::Instantaneous => unreachable!("instantaneous activities are not scheduled"),
+    /// Schedules a timed activity by deferring its exponential draw into
+    /// the batch.
+    fn schedule(&mut self, act: &Activity, id: ActivityId, marking: &Marking) {
+        let Timing::Exponential(rate) = act.timing() else {
+            unreachable!("instantaneous activities are not scheduled")
+        };
+        let r = rate(marking);
+        assert!(
+            r.is_finite() && r >= 0.0,
+            "activity '{}' produced invalid rate {r}",
+            act.name()
+        );
+        if r == 0.0 {
+            return; // rate 0 = effectively disabled; draws nothing
         }
+        self.pending.push((id, r));
     }
 
     /// Samples every pending exponential delay in one block and inserts
@@ -352,7 +324,7 @@ impl ExpoBatch {
             *u = -u.ln() / rate;
         }
         for (&(id, _), &delay) in self.pending.iter().zip(&self.uniforms) {
-            schedule_at(id, self.now + delay, queue, keys);
+            keys[id.index()] = Some(queue.schedule(self.now + delay, id));
         }
         self.pending.clear();
     }
@@ -608,7 +580,7 @@ impl SanSimulator {
                 continue;
             }
             if act.enabled(marking) {
-                expo.schedule(act, id, marking, &mut rng, queue, keys);
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(&mut rng, queue, keys);
@@ -716,25 +688,12 @@ impl SanSimulator {
         timed.collect(san, marking, act_id, self.full_rescan_resched);
         expo.begin(now);
         for &id in &timed.affected {
+            // Drop any pending completion, then resample if still enabled
+            // (memoryless, and the rate may depend on the marking).
+            Self::cancel(id, queue, keys);
             let act = san.activity(id);
-            let enabled = act.enabled(marking);
-            let scheduled = keys[id.index()].is_some();
-            match (enabled, scheduled) {
-                (true, false) => {
-                    expo.schedule(act, id, marking, rng, queue, keys);
-                }
-                (true, true) => {
-                    // Resample exponentials (marking-dependent rates);
-                    // keep general samples (enabling memory).
-                    if matches!(act.timing(), Timing::Exponential(_)) {
-                        Self::cancel(id, queue, keys);
-                        expo.schedule(act, id, marking, rng, queue, keys);
-                    }
-                }
-                (false, true) => {
-                    Self::cancel(id, queue, keys);
-                }
-                (false, false) => {}
+            if act.enabled(marking) {
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(rng, queue, keys);
@@ -758,9 +717,8 @@ impl SanSimulator {
         }
     }
 
-    /// Redraws the completion time of every scheduled exponential
-    /// activity from the cursor's stream, anchored at the current
-    /// simulation time.
+    /// Redraws the completion time of every scheduled activity from the
+    /// cursor's stream, anchored at the current simulation time.
     ///
     /// Exponential distributions are memoryless, so conditioned on the
     /// current marking the redrawn schedule has exactly the law of the
@@ -769,9 +727,7 @@ impl SanSimulator {
     /// [`RunCursor::reseed`]: without it, sibling branches would inherit
     /// the parent's already-drawn completion times from the cloned queue
     /// and replay near-identical futures, defeating the variance
-    /// reduction splitting exists for. Generally distributed activities
-    /// (none in the ITUA model) keep their samples: their enabling memory
-    /// is not memoryless, so a redraw would change the law.
+    /// reduction splitting exists for.
     ///
     /// # Panics
     ///
@@ -791,9 +747,9 @@ impl SanSimulator {
         } = scratch;
         expo.begin(cursor.now);
         for (id, act) in san.activities() {
-            if keys[id.index()].is_some() && matches!(act.timing(), Timing::Exponential(_)) {
+            if keys[id.index()].is_some() {
                 Self::cancel(id, queue, keys);
-                expo.schedule(act, id, marking, &mut cursor.rng, queue, keys);
+                expo.schedule(act, id, marking);
             }
         }
         expo.flush(&mut cursor.rng, queue, keys);
@@ -1155,5 +1111,71 @@ mod tests {
         let sim = SanSimulator::new(san);
         let stats = sim.run(1, 100.0, &mut []).unwrap();
         assert_eq!(stats.timed_firings, 0);
+    }
+
+    #[test]
+    fn resample_pending_redraws_only_the_pending_completions() {
+        // Two always-enabled activities race; a third is never enabled
+        // and must stay unscheduled through the resample.
+        let mut b = SanBuilder::new("race");
+        let n1 = b.place("n1", 0);
+        let n2 = b.place("n2", 0);
+        let idle = b.place("idle", 0);
+        b.timed_activity("t1", 1.0)
+            .output_arc(n1, 1)
+            .build()
+            .unwrap();
+        b.timed_activity("t2", 3.0)
+            .output_arc(n2, 1)
+            .build()
+            .unwrap();
+        b.timed_activity("never", 5.0)
+            .input_arc(idle, 1)
+            .build()
+            .unwrap();
+        let sim = SanSimulator::new(b.finish().unwrap());
+        let horizon = 50.0;
+        let mut scratch = sim.scratch();
+        let mut cursor = sim.begin_run(11, horizon, &mut [], &mut scratch).unwrap();
+        for _ in 0..5 {
+            assert!(sim
+                .step_run(horizon, &mut [], &mut scratch, &mut cursor)
+                .unwrap());
+        }
+        let scheduled = |s: &SimScratch| s.keys.iter().map(Option::is_some).collect::<Vec<_>>();
+        assert_eq!(scheduled(&scratch), [true, true, false]);
+
+        let branch = |seed: u64| {
+            let (mut s, mut c) = (scratch.clone(), cursor.clone());
+            c.reseed(seed);
+            sim.resample_pending(&mut s, &mut c);
+            (s, c)
+        };
+        let (mut a, mut cursor_a) = branch(1);
+        let (mut a2, mut cursor_a2) = branch(1);
+        let (mut other, _) = branch(2);
+        for s in [&a, &a2, &other] {
+            assert_eq!(s.marking, scratch.marking);
+            assert_eq!(scheduled(s), scheduled(&scratch));
+            assert_eq!(s.queue.len(), scratch.queue.len());
+        }
+        let next = a.queue.peek_time().unwrap();
+        assert!(next > cursor.now, "redrawn from the current time");
+        assert_eq!(a2.queue.peek_time(), Some(next));
+        assert_ne!(other.queue.peek_time(), Some(next));
+
+        // Same seed, same continuation, event for event.
+        let (mut obs_a, mut obs_a2) = (FiringCounter::default(), FiringCounter::default());
+        while sim
+            .step_run(horizon, &mut [&mut obs_a], &mut a, &mut cursor_a)
+            .unwrap()
+        {}
+        while sim
+            .step_run(horizon, &mut [&mut obs_a2], &mut a2, &mut cursor_a2)
+            .unwrap()
+        {}
+        assert_eq!(cursor_a.stats(), cursor_a2.stats());
+        assert_eq!(obs_a.counts, obs_a2.counts);
+        assert_eq!(a.marking, a2.marking);
     }
 }

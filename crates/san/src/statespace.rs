@@ -55,8 +55,6 @@ impl StateSpace {
     ///
     /// # Errors
     ///
-    /// * [`SanError::NonMarkovian`] if any timed activity has a general
-    ///   (non-exponential) distribution.
     /// * [`SanError::StateSpaceTooLarge`] if more than `max_states`
     ///   tangible markings are reachable, or a single vanishing-marking
     ///   resolution branches past its expansion budget
@@ -64,12 +62,6 @@ impl StateSpace {
     ///   explosion, and both fail fast instead of exhausting memory.
     /// * [`SanError::Unstabilized`] if instantaneous activities livelock.
     pub fn generate(san: &Arc<San>, max_states: usize) -> Result<Self, SanError> {
-        for (_, act) in san.activities() {
-            if let Timing::General(_) = act.timing() {
-                return Err(SanError::NonMarkovian(act.name().to_owned()));
-            }
-        }
-
         let mut index: HashMap<Marking, usize> = HashMap::new();
         let mut markings: Vec<Marking> = Vec::new();
         let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
@@ -118,7 +110,6 @@ impl StateSpace {
                 let rate_fn = match act.timing() {
                     Timing::Exponential(r) => r,
                     Timing::Instantaneous => continue,
-                    Timing::General(_) => unreachable!("checked above"),
                 };
                 if !act.enabled(&marking) {
                     continue;
@@ -183,12 +174,6 @@ impl StateSpace {
         sym: &SymmetrySpec,
         max_states: usize,
     ) -> Result<Self, SanError> {
-        for (_, act) in san.activities() {
-            if let Timing::General(_) = act.timing() {
-                return Err(SanError::NonMarkovian(act.name().to_owned()));
-            }
-        }
-
         let mut index: HashMap<Marking, usize> = HashMap::new();
         let mut markings: Vec<Marking> = Vec::new();
         let mut orbit_sizes: Vec<u128> = Vec::new();
@@ -250,7 +235,6 @@ impl StateSpace {
                 let rate_fn = match act.timing() {
                     Timing::Exponential(r) => r,
                     Timing::Instantaneous => continue,
-                    Timing::General(_) => unreachable!("checked above"),
                 };
                 if !act.enabled(&marking) {
                     continue;
@@ -624,24 +608,6 @@ mod tests {
         assert!(matches!(
             StateSpace::generate(&san, 50),
             Err(SanError::StateSpaceTooLarge(50))
-        ));
-    }
-
-    #[test]
-    fn general_distribution_rejected() {
-        let mut b = SanBuilder::new("m");
-        let p = b.place("p", 1);
-        b.general_activity(
-            "det",
-            StdArc::new(itua_sim::dist::Deterministic::new(1.0).unwrap()),
-        )
-        .input_arc(p, 1)
-        .build()
-        .unwrap();
-        let san = b.finish().unwrap();
-        assert!(matches!(
-            StateSpace::generate(&san, 100),
-            Err(SanError::NonMarkovian(_))
         ));
     }
 

@@ -11,8 +11,8 @@
 //!   quantile) implemented from scratch.
 //! * [`tdist`] — Student-t CDF and quantiles built on [`special`].
 //! * [`ci`] — confidence intervals over replicate observations.
-//! * [`replication`] — a multi-measure replication harness with
-//!   relative-precision stopping.
+//! * [`replication`] — a multi-measure replication harness: named
+//!   measures, per-measure intervals, order-fixed parallel merging.
 //! * [`weighted`] — weight-carrying moments for importance-splitting
 //!   estimators, bit-compatible with [`online`] at weight 1.
 //!

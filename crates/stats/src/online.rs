@@ -83,11 +83,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation; `None` with fewer than two observations.
-    pub fn sample_std_dev(&self) -> Option<f64> {
-        self.sample_variance().map(f64::sqrt)
-    }
-
     /// Standard error of the mean; `None` with fewer than two observations.
     pub fn std_error(&self) -> Option<f64> {
         self.sample_variance()

@@ -207,19 +207,6 @@ impl ReplicationEstimator {
             .collect()
     }
 
-    /// Whether every listed measure has reached the requested relative
-    /// half-width (e.g. `0.1` = ±10 % of the mean). Measures whose mean is
-    /// ~0 are judged by absolute half-width against `abs_floor`.
-    pub fn reached_precision(&self, measures: &[&str], rel: f64, abs_floor: f64) -> bool {
-        measures.iter().all(|m| match self.estimate(m) {
-            Ok(e) => match e.ci.relative_half_width() {
-                Some(r) => r <= rel || e.ci.half_width <= abs_floor,
-                None => e.ci.half_width <= abs_floor,
-            },
-            Err(_) => false,
-        })
-    }
-
     /// The confidence level used for all intervals.
     pub fn level(&self) -> f64 {
         self.level
@@ -333,29 +320,6 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].name, "alpha");
         assert_eq!(all[1].name, "zeta");
-    }
-
-    #[test]
-    fn precision_stopping() {
-        let mut est = ReplicationEstimator::new(0.95);
-        // Tight data: mean 10, tiny spread.
-        for i in 0..50 {
-            est.record("tight", 10.0 + 0.001 * (i % 2) as f64);
-            est.record("loose", (i % 20) as f64);
-        }
-        assert!(est.reached_precision(&["tight"], 0.01, 1e-9));
-        assert!(!est.reached_precision(&["loose"], 0.01, 1e-9));
-        assert!(!est.reached_precision(&["tight", "loose"], 0.01, 1e-9));
-        assert!(!est.reached_precision(&["absent"], 0.5, 1.0));
-    }
-
-    #[test]
-    fn zero_mean_uses_absolute_floor() {
-        let mut est = ReplicationEstimator::new(0.95);
-        for _ in 0..10 {
-            est.record("zero", 0.0);
-        }
-        assert!(est.reached_precision(&["zero"], 0.1, 1e-9));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Re-exports the full stack so examples and integration tests can depend on
 //! a single crate:
 //!
-//! * [`sim`] — discrete-event kernel (RNG, distributions, event queue).
+//! * [`sim`] — discrete-event kernel (RNG with sub-streams, event queue).
 //! * [`stats`] — estimators, confidence intervals, replications.
 //! * [`markov`] — sparse CTMC numerical solvers.
-//! * [`san`] — the stochastic activity network formalism and simulator.
+//! * [`san`] — the stochastic activity network formalism (exponential and
+//!   instantaneous activities) and simulator.
 //! * [`itua`] — the ITUA intrusion-tolerant replication model (the paper's
 //!   object of study) in both SAN and direct discrete-event form.
 //! * [`rare`] — RESTART-style importance splitting for rare-event
