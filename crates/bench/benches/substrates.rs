@@ -6,8 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use itua_markov::ctmc::Ctmc;
 use itua_sim::queue::EventQueue;
 use itua_sim::rng::Rng;
-use itua_stats::online::OnlineStats;
 use itua_stats::tdist::t_quantile;
+use itua_stats::weighted::WeightedStats;
 
 fn bench_rng(c: &mut Criterion) {
     let mut rng = Rng::seed_from_u64(1);
@@ -81,11 +81,11 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 fn bench_stats(c: &mut Criterion) {
-    c.bench_function("online_stats_push_x1000", |b| {
+    c.bench_function("weighted_stats_push_x1000", |b| {
         b.iter(|| {
-            let mut s = OnlineStats::new();
+            let mut s = WeightedStats::new();
             for i in 0..1000 {
-                s.push(i as f64 * 0.37);
+                s.push(i as f64 * 0.37, 1.0);
             }
             black_box(s.mean())
         });

@@ -158,7 +158,7 @@ pub fn check_scenario(scenario: &dyn Scenario, cli: &FigureCli) -> i32 {
 
 /// The distinct parameter sets among `points`, keeping first-seen order
 /// and one representative point for labeling.
-fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
+pub(crate) fn distinct_models(points: &[SweepPoint]) -> Vec<&SweepPoint> {
     let mut seen: Vec<String> = Vec::new();
     let mut out = Vec::new();
     for point in points {
@@ -318,7 +318,10 @@ fn prove_asserts(
 /// `--exhaustive`: prove properties over the full reachable space of
 /// every distinct model, cross-validating the explorer both ways.
 fn exhaustive_check_points(scenario: &dyn Scenario, points: &[SweepPoint], cli: &FigureCli) -> i32 {
-    let max_states = cli.check_max_states.unwrap_or(DEFAULT_CHECK_MAX_STATES);
+    let max_states = cli
+        .backend_opts
+        .analytic_max_states
+        .unwrap_or(DEFAULT_CHECK_MAX_STATES);
     let asserts = scenario.asserts();
     let mut outcomes = Vec::new();
     for point in distinct_models(points) {
@@ -530,7 +533,7 @@ mod tests {
         );
         let mut cli = FigureCli::parse("check", Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
-        cli.check_max_states = Some(200_000);
+        cli.backend_opts.analytic_max_states = Some(200_000);
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
         cli.json = true;
         assert_eq!(check_scenario(scenario.as_ref(), &cli), 0);
@@ -541,7 +544,7 @@ mod tests {
         let dir = std::env::temp_dir().join("itua-driver-exhaustive");
         let mut cli = FigureCli::parse("check", Vec::<String>::new()).unwrap();
         cli.exhaustive = true;
-        cli.check_max_states = Some(200_000);
+        cli.backend_opts.analytic_max_states = Some(200_000);
 
         // A glob matching no place is a hard refusal, not a vacuous pass.
         let bad_glob = micro_scn(&dir, "badglob.scn", "assert = sum(nope/*) <= 1\n");
@@ -553,7 +556,7 @@ mod tests {
 
         // An exhausted state budget is a structured failure (exit 2).
         let plain = micro_scn(&dir, "plain.scn", "");
-        cli.check_max_states = Some(3);
+        cli.backend_opts.analytic_max_states = Some(3);
         assert_eq!(check_scenario(plain.as_ref(), &cli), 2);
     }
 

@@ -27,7 +27,8 @@ use std::path::PathBuf;
 ///   only; the figure studies substitute their exact-solvable micro
 ///   variant); all run through the same pipeline and report the same
 ///   measure names,
-/// * `--reps N` — replications per sweep point (default 2000),
+/// * `--reps N` — replications per sweep point (default 2000; at least 2,
+///   the fewest a t-interval needs),
 /// * `--seed S` — base seed,
 /// * `--csv` — also print the figure as CSV,
 /// * `--threads N` — worker threads (default: one per core; results are
@@ -76,7 +77,9 @@ use std::path::PathBuf;
 pub struct FigureCli {
     /// Which backend runs the sweep.
     pub backend: BackendKind,
-    /// Backend construction options (`--max-states`).
+    /// Backend construction options. `analytic_max_states` holds the
+    /// explicit `--max-states` value, when given; the exhaustive checker
+    /// also reads it as its state budget (default 2^20 quotient states).
     pub backend_opts: BackendOptions,
     /// Sweep configuration assembled from the flags.
     pub cfg: SweepConfig,
@@ -97,10 +100,6 @@ pub struct FigureCli {
     pub exhaustive: bool,
     /// Whether `itua check --json` requested machine-readable findings.
     pub json: bool,
-    /// Explicit `--max-states` value, when given; the exhaustive checker
-    /// uses it as its state budget (default 2^20 quotient states), the
-    /// analytic backend as its tangible-state bound (default 100000).
-    pub check_max_states: Option<usize>,
     /// RESTART splitting thresholds (`--split-levels`); `None` runs the
     /// plain replication loop.
     pub split: Option<SplitSpec>,
@@ -145,7 +144,6 @@ impl FigureCli {
             no_check: false,
             exhaustive: false,
             json: false,
-            check_max_states: None,
             split: None,
             quiet: false,
         };
@@ -167,7 +165,14 @@ impl FigureCli {
                     cli.backend = BackendKind::parse(&name)
                         .ok_or_else(|| format!("--backend needs {what}"))?;
                 }
-                "--reps" => cli.cfg.replications = flag_value(&mut it, &arg, "a positive integer")?,
+                "--reps" => {
+                    let what = "an integer ≥ 2";
+                    let n: u32 = flag_value(&mut it, &arg, what)?;
+                    if n < 2 {
+                        return Err(format!("--reps needs {what}"));
+                    }
+                    cli.cfg.replications = n;
+                }
                 "--seed" => cli.cfg.base_seed = flag_value(&mut it, &arg, "an integer")?,
                 "--max-states" => {
                     let n: usize = flag_value(&mut it, &arg, "a positive integer")?;
@@ -175,7 +180,6 @@ impl FigureCli {
                         return Err("--max-states needs a positive integer".to_owned());
                     }
                     cli.backend_opts.analytic_max_states = Some(n);
-                    cli.check_max_states = Some(n);
                 }
                 "--lump" => cli.backend_opts.analytic_lump = true,
                 "--no-lump" => cli.backend_opts.analytic_lump = false,
@@ -258,14 +262,8 @@ fn flag_value<T: std::str::FromStr>(
 /// caller should exit nonzero).
 pub fn check_models(points: &[SweepPoint]) -> bool {
     let cfg = AnalysisConfig::default();
-    let mut seen: Vec<String> = Vec::new();
     let mut any_hard = false;
-    for point in points {
-        let key = format!("{:?}", point.params);
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
+    for point in driver::distinct_models(points) {
         println!("--- model check: {} (x = {}) ---", point.series, point.x);
         match san_model::build(&point.params) {
             Ok(model) => {
@@ -379,14 +377,12 @@ mod tests {
         .unwrap();
         assert!(cli.exhaustive);
         assert!(cli.json);
-        assert_eq!(cli.check_max_states, Some(50000));
         assert_eq!(cli.backend_opts.analytic_max_states, Some(50000));
-        // Absent --max-states leaves the exhaustive budget at its own
-        // default rather than inheriting the analytic bound.
+        // Absent --max-states leaves both budgets at their own defaults.
         let cli = parsed(&[]);
         assert!(!cli.exhaustive);
         assert!(!cli.json);
-        assert_eq!(cli.check_max_states, None);
+        assert_eq!(cli.backend_opts.analytic_max_states, None);
     }
 
     #[test]
@@ -434,6 +430,8 @@ mod tests {
         for args in [
             &["--reps"][..],
             &["--reps", "many"],
+            &["--reps", "0"],
+            &["--reps", "1"],
             &["--backend", "ctmc"],
             &["--results"],
             &["--split-levels"],
@@ -518,7 +516,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cli.backend, BackendKind::Analytic);
-        assert_eq!(cli.check_max_states, Some(50));
+        assert_eq!(cli.backend_opts.analytic_max_states, Some(50));
         assert!(cli.exhaustive && cli.json && cli.quiet);
         for args in [
             &["--reps", "5"][..],

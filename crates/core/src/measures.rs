@@ -150,15 +150,6 @@ impl MeasureSet {
         }
     }
 
-    /// Creates an empty weighted aggregate for importance-splitting runs;
-    /// observations are recorded per split tree via
-    /// [`MeasureSet::record_tree`].
-    pub fn new_weighted(level: f64) -> Self {
-        MeasureSet {
-            est: ReplicationEstimator::new_weighted(level),
-        }
-    }
-
     /// Records one replication's output.
     pub fn record(&mut self, out: &RunOutput) {
         self.est
@@ -212,10 +203,6 @@ impl MeasureSet {
     /// A single-leaf tree with weight 1 (no split fired) reproduces
     /// [`MeasureSet::record`] bit-for-bit: every `w·x` and `Σw·v/Σw`
     /// collapses to `x` exactly at `w == 1.0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this set was not created with [`MeasureSet::new_weighted`].
     pub fn record_tree(&mut self, leaves: &[(f64, RunOutput)], horizon: f64, sample_times: &[f64]) {
         let mut schedule = Vec::new();
         crate::des::clamp_sample_times(sample_times, horizon, &mut schedule);
@@ -293,11 +280,6 @@ impl MeasureSet {
     /// All estimates with confidence intervals.
     pub fn estimates(&self) -> Vec<Estimate> {
         self.est.estimates()
-    }
-
-    /// Underlying estimator (for precision-based stopping).
-    pub fn estimator(&self) -> &ReplicationEstimator {
-        &self.est
     }
 }
 
@@ -388,7 +370,7 @@ mod tests {
     #[test]
     fn record_tree_single_leaf_weight_one_matches_record() {
         let mut plain = MeasureSet::new(0.95);
-        let mut split = MeasureSet::new_weighted(0.95);
+        let mut split = MeasureSet::new(0.95);
         for rep in 0..6 {
             let mut out = sample_output();
             out.improper_time_per_app[0] += rep as f64 * 0.1;
@@ -413,23 +395,22 @@ mod tests {
 
     #[test]
     fn record_tree_empty_tree_still_counts_for_unconditional_measures() {
-        let mut ms = MeasureSet::new_weighted(0.95);
+        let mut ms = MeasureSet::new(0.95);
         ms.record_tree(&[], 5.0, &[5.0]);
         ms.record_tree(&[(1.0, sample_output())], 5.0, &[5.0]);
-        assert_eq!(ms.estimator().count(names::UNAVAILABILITY), 2);
-        assert_eq!(
-            ms.estimator()
-                .count(&format!("{}@5", names::FRAC_DOMAINS_EXCLUDED)),
-            2
-        );
+        ms.record_tree(&[(1.0, sample_output())], 5.0, &[5.0]);
+        let estimates = ms.estimates();
+        let n = |name: &str| estimates.iter().find(|e| e.name == name).map(|e| e.ci.n);
+        assert_eq!(n(names::UNAVAILABILITY), Some(3));
+        assert_eq!(n(&format!("{}@5", names::FRAC_DOMAINS_EXCLUDED)), Some(3));
         // The dead tree observed no exclusion event.
-        assert_eq!(ms.estimator().count(names::FRAC_CORRUPT_AT_EXCLUSION), 1);
-        assert_eq!(ms.mean(names::UNAVAILABILITY).unwrap(), 0.05);
+        assert_eq!(n(names::FRAC_CORRUPT_AT_EXCLUSION), Some(2));
+        assert!((ms.mean(names::UNAVAILABILITY).unwrap() - 0.2 / 3.0).abs() < 1e-15);
     }
 
     #[test]
     fn record_tree_splits_average_with_weights() {
-        let mut ms = MeasureSet::new_weighted(0.95);
+        let mut ms = MeasureSet::new(0.95);
         // Two half-weight leaves with byzantine flags true/false: the
         // tree's unreliability total is 0.5 * 0.25 + 0.5 * 0.25 with the
         // sample_output flags (1 of 4 apps byzantine each).

@@ -535,6 +535,16 @@ impl Backend for ItuaBackend {
     }
 }
 
+/// Runs the pre-simulation model check that `check` selects; both
+/// replication loops call it before simulating.
+pub(crate) fn check_model<B: Backend>(backend: &B, check: ModelCheck) -> Result<(), BackendError> {
+    match check {
+        ModelCheck::Quick => backend.self_check(),
+        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states),
+        ModelCheck::Off => Ok(()),
+    }
+}
+
 /// Runs `replications` independent replications of `backend` and reduces
 /// them into a [`MeasureSet`] at the given confidence level.
 ///
@@ -594,11 +604,7 @@ pub fn run_measures_checked<B: Backend>(
     progress: &dyn Progress,
     check: ModelCheck,
 ) -> Result<MeasureSet, BackendError> {
-    match check {
-        ModelCheck::Quick => backend.self_check()?,
-        ModelCheck::Deep { max_states } => backend.self_check_deep(max_states)?,
-        ModelCheck::Off => {}
-    }
+    check_model(backend, check)?;
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
         let measures = exact?;
         progress.on_replications(replications, replications);

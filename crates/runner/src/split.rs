@@ -7,19 +7,20 @@
 //! [`CorruptDomainCount`] importance level and Russian-roulettes branches
 //! that fall back below their spawn level, and every surviving leaf
 //! contributes a weighted [`RunOutput`]. The per-tree weighted totals go
-//! through [`MeasureSet::record_tree`], whose estimator treats trees —
-//! not leaves — as the iid unit, so confidence intervals stay valid.
+//! through [`MeasureSet::record_tree`], which treats trees — not leaves —
+//! as the iid unit, so confidence intervals stay valid.
 //!
 //! Determinism matches the plain loop exactly: tree `i` derives from
 //! `stream_seed(origin_seed, i)`, branch `b > 0` of that tree is reseeded
 //! with `stream_seed(tree_seed, b)` (the third tier of the seed
 //! hierarchy), and trees are reduced in replication order, so estimates
 //! are bit-identical for every thread count, chunk size, and batch size.
-//! With an empty [`SplitSpec`] the root branch is never reseeded and the
-//! weighted estimator collapses bitwise to the unweighted one, so the
+//! With an empty [`SplitSpec`] the root branch is never reseeded and each
+//! tree is one weight-1 leaf, which [`MeasureSet::record_tree`] records
+//! exactly as [`MeasureSet::record`] records a plain replication, so the
 //! result equals the plain replication path bit for bit.
 
-use crate::backend::{Backend, BackendError, ItuaBackend, ModelCheck};
+use crate::backend::{check_model, Backend, BackendError, ItuaBackend, ModelCheck};
 use crate::engine::{replicate, RunnerConfig};
 use crate::progress::Progress;
 use itua_core::measures::{MeasureSet, RunOutput};
@@ -108,7 +109,7 @@ impl ItuaBackend {
 }
 
 /// Runs `replications` independent splitting trees of `backend` and
-/// reduces them into a weighted [`MeasureSet`].
+/// reduces them into a [`MeasureSet`].
 ///
 /// Tree `i` is seeded `stream_seed(origin_seed, i)` and recorded in
 /// replication order, so the result is bit-identical for every thread
@@ -119,8 +120,9 @@ impl ItuaBackend {
 ///
 /// # Errors
 ///
-/// Returns the self-check failure under [`ModelCheck::Quick`], or the
-/// first (in replication order) [`BackendError`] any tree produced.
+/// Returns the self-check failure under [`ModelCheck::Quick`] or
+/// [`ModelCheck::Deep`], or the first (in replication order)
+/// [`BackendError`] any tree produced.
 #[allow(clippy::too_many_arguments)]
 pub fn run_measures_split(
     backend: &ItuaBackend,
@@ -134,9 +136,7 @@ pub fn run_measures_split(
     progress: &dyn Progress,
     check: ModelCheck,
 ) -> Result<SplitRun, BackendError> {
-    if check == ModelCheck::Quick {
-        backend.self_check()?;
-    }
+    check_model(backend, check)?;
     if let Some(exact) = backend.exact_measures(horizon, sample_times, confidence) {
         let measures = exact?;
         progress.on_replications(replications, replications);
@@ -164,7 +164,7 @@ pub fn run_measures_split(
             }));
         },
     );
-    let mut measures = MeasureSet::new_weighted(confidence);
+    let mut measures = MeasureSet::new(confidence);
     let mut totals = SplitTotals::default();
     for tree in trees {
         let (stats, leaves) = tree?;
@@ -306,6 +306,28 @@ mod tests {
         for e in &run.measures.estimates() {
             assert_eq!(e.ci.half_width, 0.0, "{} not exact", e.name);
         }
+    }
+
+    #[test]
+    fn deep_check_runs_before_the_split_loop() {
+        // Spread enabled: the SAN's reachable space exceeds a 3-state
+        // budget, so the exhaustive check must refuse the model.
+        let params = Params::default().with_domains(1, 2).with_applications(1, 2);
+        let backend = ItuaBackend::for_params(BackendKind::San, &params).unwrap();
+        let err = run_measures_split(
+            &backend,
+            4,
+            0.95,
+            1,
+            1.0,
+            &[1.0],
+            &SplitSpec::none(),
+            &RunnerConfig::serial(),
+            &NullProgress,
+            ModelCheck::Deep { max_states: 3 },
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("state budget"), "{err}");
     }
 
     #[test]

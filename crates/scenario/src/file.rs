@@ -30,7 +30,7 @@
 //!
 //! Pinned execution keys (optional; when present the file is
 //! authoritative and the corresponding CLI flag is ignored):
-//! `reps`, `seed`, `confidence`, `split-levels`.
+//! `reps` (at least 2), `seed`, `confidence`, `split-levels`.
 //!
 //! # Identity
 //!
@@ -285,9 +285,16 @@ impl FileScenario {
                     asserts.push(MarkingAssert::parse(value).map_err(|e| ScnError::at(n, e))?);
                 }
                 "reps" => {
-                    reps = Some(value.parse::<u32>().map_err(|_| {
+                    let r = value.parse::<u32>().map_err(|_| {
                         ScnError::at(n, format!("'{value}' is not a replication count"))
-                    })?);
+                    })?;
+                    if r < 2 {
+                        return Err(ScnError::at(
+                            n,
+                            "'reps' must be at least 2 (a t-interval needs two replications)",
+                        ));
+                    }
+                    reps = Some(r);
                 }
                 "seed" => {
                     seed = Some(
@@ -629,6 +636,12 @@ reps = 12
         assert!(err.message.contains("not a number"));
         let err = FileScenario::parse("domains = 2.5\n", "x").unwrap_err();
         assert!(err.message.contains("positive integer"));
+        for reps in ["0", "1"] {
+            let bad_reps = SPREAD.replace("reps = 12", &format!("reps = {reps}"));
+            let err = FileScenario::parse(&bad_reps, "x").unwrap_err();
+            assert_eq!(err.line, Some(13), "reps = {reps}");
+            assert!(err.message.contains("at least 2"), "{}", err.message);
+        }
         let bad_split = SPREAD.to_owned() + "split-levels = 1y8\n";
         let err = FileScenario::parse(&bad_split, "x").unwrap_err();
         assert!(err.message.contains("bad split spec"));

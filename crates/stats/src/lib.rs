@@ -4,17 +4,19 @@
 //! confidence interval computed over independent replications. This crate
 //! provides the same machinery:
 //!
-//! * [`online`] — numerically stable streaming moments (Welford).
+//! * [`weighted`] — the one streaming accumulator: numerically stable
+//!   weighted Welford moments. Plain replications push at weight 1, which
+//!   is the count-based estimator bit for bit; importance-splitting trees
+//!   push their likelihood weights.
 //! * [`timeweighted`] — integrals of piecewise-constant sample paths, for
 //!   interval-of-time (time-averaged) reward variables.
 //! * [`special`] — special functions (log-gamma, incomplete beta, normal
 //!   quantile) implemented from scratch.
 //! * [`tdist`] — Student-t CDF and quantiles built on [`special`].
-//! * [`ci`] — confidence intervals over replicate observations.
+//! * [`ci`] — Student-t confidence intervals built from [`weighted`]
+//!   moments.
 //! * [`replication`] — a multi-measure replication harness: named
-//!   measures, per-measure intervals, order-fixed parallel merging.
-//! * [`weighted`] — weight-carrying moments for importance-splitting
-//!   estimators, bit-compatible with [`online`] at weight 1.
+//!   measures, one accumulator and one interval per measure.
 //!
 //! # Example
 //!
@@ -31,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod ci;
-pub mod online;
 pub mod replication;
 pub mod special;
 pub mod tdist;
@@ -39,7 +40,6 @@ pub mod timeweighted;
 pub mod weighted;
 
 pub use ci::ConfidenceInterval;
-pub use online::OnlineStats;
-pub use replication::{Estimate, ReplicationEstimator, Weighting};
+pub use replication::{Estimate, ReplicationEstimator};
 pub use timeweighted::TimeWeighted;
 pub use weighted::WeightedStats;

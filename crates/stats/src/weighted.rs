@@ -1,22 +1,22 @@
-//! Weighted streaming moments for importance-splitting estimators.
+//! Weighted streaming moments: the crate's one accumulator.
 //!
-//! Importance splitting (RESTART) produces observations that carry
-//! likelihood weights: a branch that survived `k` splits of factor `R`
-//! contributes its value with weight `R^-k`. [`WeightedStats`] accumulates
-//! such `(value, weight)` pairs with a weighted Welford recurrence and
-//! reports the weighted mean, the reliability-weights sample variance, and
-//! the effective sample size `n_eff = (Σw)² / Σw²` used for t-intervals.
+//! Every estimate this workspace reports is built from [`WeightedStats`].
+//! Plain replications push each observation at weight `1.0`; importance
+//! splitting (RESTART) pushes observations that carry likelihood weights —
+//! a branch that survived `k` splits of factor `R` contributes its value
+//! with weight `R^-k`. The accumulator runs a weighted Welford recurrence
+//! and reports the weighted mean, the reliability-weights sample variance,
+//! and the effective sample size `n_eff = (Σw)² / Σw²` used for
+//! t-intervals.
 //!
-//! The recurrence is arranged so that a stream of weight-`1.0` pushes is
-//! **bit-identical** to [`OnlineStats`](crate::online::OnlineStats): every
-//! intermediate expression evaluates to the exact same sequence of floating
-//! point operations (`w * delta / w1` with `w == 1.0` multiplies by an
-//! exact `1.0` and divides by the exact integer-valued `Σw`). This is what
-//! lets the splitting path degenerate to the plain replication path when no
-//! split ever fires, and it is pinned by the `weighted_collapse` property
-//! tests.
-
-use crate::online::OnlineStats;
+//! At unit weights this *is* the classic count-based Welford estimator,
+//! bit for bit: `Σw` and `Σw²` are the exact integer `n`, `w * delta / Σw`
+//! multiplies by an exact `1.0` and divides by `n`, the variance
+//! denominator `Σw − Σw²/Σw` is exactly `n − 1`, and `n_eff = n·n/n` is
+//! exactly `n` as long as `n² < 2⁵³` (every replication count in use is at
+//! most `2¹⁷`). So the mean, variance, standard error, t-quantile and
+//! half-width of a plain run are the same floating-point operations as
+//! the textbook count-based formulas.
 
 /// Streaming weighted mean/variance/min/max accumulator.
 ///
@@ -29,6 +29,15 @@ use crate::online::OnlineStats;
 /// s.push(1.0, 0.25);
 /// s.push(0.0, 0.75);
 /// assert!((s.mean() - 0.25).abs() < 1e-15);
+///
+/// // Unit weights: the plain count-based mean and variance.
+/// let mut u = WeightedStats::new();
+/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+///     u.push(x, 1.0);
+/// }
+/// assert_eq!(u.mean(), 5.0);
+/// assert_eq!(u.n_eff(), 8.0);
+/// assert!((u.sample_variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedStats {
@@ -60,8 +69,8 @@ impl WeightedStats {
     /// # Panics
     ///
     /// Panics if `x` is NaN or `w` is not a finite positive number (a bad
-    /// weight silently corrupts every later statistic, so it is rejected
-    /// loudly, mirroring [`OnlineStats::push`]).
+    /// observation or weight silently corrupts every later statistic, so it
+    /// is rejected loudly).
     pub fn push(&mut self, x: f64, w: f64) {
         assert!(!x.is_nan(), "NaN observation");
         assert!(
@@ -106,8 +115,7 @@ impl WeightedStats {
 
     /// Unbiased (reliability-weights) sample variance
     /// `Σw(x-mean)² / (Σw − Σw²/Σw)`; `None` with fewer than two
-    /// observations. Collapses to [`OnlineStats::sample_variance`] at
-    /// weight 1.
+    /// observations. At unit weights the denominator is exactly `n − 1`.
     pub fn sample_variance(&self) -> Option<f64> {
         if self.count < 2 {
             None
@@ -131,47 +139,12 @@ impl WeightedStats {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Merges another accumulator into this one (parallel weighted
-    /// Welford). The arithmetic mirrors [`OnlineStats::merge`] with `Σw`
-    /// standing in for the count, so merging weight-1 accumulators stays
-    /// bit-identical to the unweighted merge.
-    pub fn merge(&mut self, other: &WeightedStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let delta = other.mean - self.mean;
-        let total = self.w1 + other.w1;
-        self.mean += delta * other.w1 / total;
-        self.m2 += other.m2 + delta * delta * self.w1 * other.w1 / total;
-        self.w1 = total;
-        self.w2 += other.w2;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Whether this accumulator is bitwise identical to `other` under the
-    /// weight-1 embedding (same count, mean, second moment, min, max).
-    /// Test/diagnostic helper for the collapse property.
-    pub fn collapses_to(&self, other: &OnlineStats) -> bool {
-        self.count == other.count()
-            && self.mean.to_bits() == other.mean().to_bits()
-            && self.min() == other.min()
-            && self.max() == other.max()
-            && self.sample_variance().map(f64::to_bits) == other.sample_variance().map(f64::to_bits)
-            && self.std_error().map(f64::to_bits) == other.std_error().map(f64::to_bits)
-    }
 }
 
 impl Default for WeightedStats {
     fn default() -> Self {
-        // Same caveat as OnlineStats: a derived Default would zero min/max
-        // instead of using the identity elements of min/max.
+        // Careful: a derived Default would set min/max to 0.0 rather than
+        // the identity elements of min/max.
         WeightedStats::new()
     }
 }
@@ -222,56 +195,50 @@ mod tests {
     }
 
     #[test]
-    fn weight_one_collapses_to_online_stats() {
-        let mut w = WeightedStats::new();
-        let mut o = OnlineStats::new();
-        for i in 0..1000 {
-            let x = (i as f64 * 0.37).sin() * 1e3;
-            w.push(x, 1.0);
-            o.push(x);
-        }
-        assert!(w.collapses_to(&o));
+    fn single_observation() {
+        let mut s = WeightedStats::new();
+        s.push(3.5, 1.0);
+        assert_eq!(s.count(), 1);
+        assert_eq!(s.mean(), 3.5);
+        assert_eq!(s.n_eff(), 1.0);
+        assert_eq!(s.sample_variance(), None);
+        assert_eq!(s.std_error(), None);
+        assert_eq!(s.min(), Some(3.5));
+        assert_eq!(s.max(), Some(3.5));
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let data: Vec<(f64, f64)> = (0..200)
-            .map(|i| ((i as f64).sqrt(), 0.1 + (i % 7) as f64))
-            .collect();
-        let (a_data, b_data) = data.split_at(73);
-        let mut a = WeightedStats::new();
-        for &(x, w) in a_data {
-            a.push(x, w);
+    fn stable_for_large_offset() {
+        // Classic catastrophic-cancellation case for naive algorithms.
+        let offset = 1e9;
+        let mut s = WeightedStats::new();
+        for x in [offset + 4.0, offset + 7.0, offset + 13.0, offset + 16.0] {
+            s.push(x, 1.0);
         }
-        let mut b = WeightedStats::new();
-        for &(x, w) in b_data {
-            b.push(x, w);
-        }
-        let mut whole = WeightedStats::new();
-        for &(x, w) in &data {
-            whole.push(x, w);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.total_weight() - whole.total_weight()).abs() < 1e-9);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.sample_variance().unwrap() - whole.sample_variance().unwrap()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
+        assert!((s.sample_variance().unwrap() - 30.0).abs() < 1e-6);
     }
 
     #[test]
-    fn merge_with_empty() {
-        let mut a = WeightedStats::new();
-        a.push(1.0, 2.0);
-        a.push(3.0, 0.5);
-        let before = a.clone();
-        a.merge(&WeightedStats::new());
-        assert_eq!(a, before);
-
-        let mut e = WeightedStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
+    fn unit_weights_give_the_count_based_moments_exactly() {
+        let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let mut s = WeightedStats::new();
+        for &x in &xs {
+            s.push(x, 1.0);
+        }
+        let n = xs.len() as f64;
+        assert_eq!(s.total_weight(), n);
+        assert_eq!(s.n_eff(), n);
+        // The textbook count-based Welford recurrence, step for step.
+        let (mut mean, mut m2) = (0.0f64, 0.0f64);
+        for (i, &x) in xs.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+        }
+        let var = m2 / (n - 1.0);
+        assert_eq!(s.mean().to_bits(), mean.to_bits());
+        assert_eq!(s.sample_variance().unwrap().to_bits(), var.to_bits());
+        assert_eq!(s.std_error().unwrap().to_bits(), (var / n).sqrt().to_bits());
     }
 
     #[test]

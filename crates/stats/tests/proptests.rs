@@ -1,37 +1,26 @@
 //! Property-based tests for the statistics crate.
 
-use itua_stats::online::OnlineStats;
 use itua_stats::tdist::{t_cdf, t_quantile};
 use itua_stats::timeweighted::TimeWeighted;
+use itua_stats::weighted::WeightedStats;
 use proptest::prelude::*;
 
 proptest! {
-    /// Welford matches the naive two-pass computation.
+    /// Unit-weight Welford matches the naive two-pass computation.
     #[test]
     fn welford_matches_two_pass(xs in prop::collection::vec(-1e6f64..1e6, 2..200)) {
-        let s: OnlineStats = xs.iter().copied().collect();
+        let mut s = WeightedStats::new();
+        for &x in &xs {
+            s.push(x, 1.0);
+        }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         let scale = 1.0 + mean.abs() + var.abs();
+        prop_assert_eq!(s.n_eff(), xs.len() as f64);
         prop_assert!((s.mean() - mean).abs() / scale < 1e-9);
         prop_assert!((s.sample_variance().unwrap() - var).abs() / scale.powi(2) < 1e-6);
         prop_assert_eq!(s.min().unwrap(), xs.iter().copied().fold(f64::INFINITY, f64::min));
         prop_assert_eq!(s.max().unwrap(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Merging partitions equals processing the whole stream.
-    #[test]
-    fn merge_equals_sequential(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let (left, right) = xs.split_at(split);
-        let mut merged: OnlineStats = left.iter().copied().collect();
-        merged.merge(&right.iter().copied().collect());
-        let whole: OnlineStats = xs.iter().copied().collect();
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert!((merged.mean() - whole.mean()).abs() < 1e-8 * (1.0 + whole.mean().abs()));
     }
 
     /// The t quantile is monotone in p and inverts the CDF.
