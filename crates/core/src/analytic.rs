@@ -6,9 +6,9 @@
 //! tangible state space once, and every measure the simulators estimate by
 //! replication is computed exactly by uniformized transient analysis:
 //!
-//! * **unavailability** — `E[∫₀ᵀ improper_fraction ds] / T` via
-//!   [`Ctmc::expected_accumulated_reward`] over the improper-service
-//!   fraction reward;
+//! * **unavailability** — `E[∫₀ᵀ improper_fraction ds] / T`, the
+//!   accumulated improper-service fraction reward of
+//!   [`Ctmc::transient_with_reward`];
 //! * **unreliability** — mean over applications of `P[app ever Byzantine
 //!   by T]`, via one *byzantine-absorbed* chain per application (outgoing
 //!   transitions of Byzantine states dropped, so the transient mass on
@@ -20,8 +20,12 @@
 //!   marking the cascade settles into.
 //! * **instant-of-time measures** (`frac_domains_excluded@t`,
 //!   `replicas_running@t`, `load_per_host@t`) — reward expectations under
-//!   the transient distributions at the sample times, all solved from a
-//!   single uniformization pass ([`Ctmc::transient_multi`]).
+//!   the transient distributions at the sample times, solved in the same
+//!   uniformization walk of the base chain as unavailability
+//!   ([`Ctmc::transient_with_reward`]).
+//!
+//! A solve therefore walks `1 + apps` chains: the base chain once, and
+//! each application's absorbed chain once.
 //!
 //! The event-conditioned measures (`frac_corrupt_hosts_at_exclusion`,
 //! `time_to_first_*`) are deliberately *not* produced: they condition on
@@ -82,6 +86,8 @@ pub enum AnalyticError {
     San(SanError),
     /// CTMC construction or solving failed.
     Ctmc(CtmcError),
+    /// The solve horizon was not finite and positive.
+    BadHorizon(f64),
 }
 
 impl fmt::Display for AnalyticError {
@@ -108,6 +114,9 @@ impl fmt::Display for AnalyticError {
             AnalyticError::Build(e) => write!(f, "cannot build ITUA SAN: {e}"),
             AnalyticError::San(e) => write!(f, "state-space generation failed: {e}"),
             AnalyticError::Ctmc(e) => write!(f, "CTMC solve failed: {e}"),
+            AnalyticError::BadHorizon(h) => {
+                write!(f, "analytic horizon {h} must be finite and positive")
+            }
         }
     }
 }
@@ -310,32 +319,45 @@ impl ItuaAnalytic {
     /// Solves every analytically expressible measure over `[0, horizon]`
     /// and returns them as zero-variance estimates.
     ///
+    /// One uniformization walk of the base chain yields unavailability and
+    /// every instant-of-time measure; one more walk per application's
+    /// absorbed chain yields unreliability — `1 + apps` walks in all.
     /// Sample times get the same clamp/filter/sort/dedup normalization the
     /// simulators apply, so the `@t` measure names line up exactly.
     ///
     /// # Errors
     ///
-    /// Propagates CTMC solver failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `horizon` is finite and positive.
+    /// [`AnalyticError::BadHorizon`] unless `horizon` is finite and
+    /// positive; [`AnalyticError::Ctmc`] for CTMC solver failures (such as
+    /// a horizon too long to uniformize).
     pub fn solve(
         &self,
         horizon: f64,
         sample_times: &[f64],
         confidence: f64,
     ) -> Result<MeasureSet, AnalyticError> {
-        assert!(
-            horizon > 0.0 && horizon.is_finite(),
-            "horizon must be finite positive"
-        );
-        let mut ms = MeasureSet::new(confidence);
-
-        let improper_time = self
+        if !(horizon > 0.0 && horizon.is_finite()) {
+            return Err(AnalyticError::BadHorizon(horizon));
+        }
+        let mut samples: Vec<f64> = sample_times
+            .iter()
+            .map(|&t| t.min(horizon))
+            .filter(|&t| t > 0.0)
+            .collect();
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN sample times"));
+        samples.dedup();
+        let (improper_time, dists) = self
             .ctmc
-            .expected_accumulated_reward(&self.initial, &self.improper_frac, horizon, EPSILON)
+            .transient_with_reward(
+                &self.initial,
+                &self.improper_frac,
+                horizon,
+                &samples,
+                EPSILON,
+            )
             .map_err(AnalyticError::Ctmc)?;
+
+        let mut ms = MeasureSet::new(confidence);
         ms.record_exact(names::UNAVAILABILITY, improper_time / horizon);
 
         let mut byz_total = 0.0;
@@ -352,17 +374,6 @@ impl ItuaAnalytic {
         }
         ms.record_exact(names::UNRELIABILITY, byz_total / self.byz.len() as f64);
 
-        let mut samples: Vec<f64> = sample_times
-            .iter()
-            .map(|&t| t.min(horizon))
-            .filter(|&t| t > 0.0)
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN sample times"));
-        samples.dedup();
-        let dists = self
-            .ctmc
-            .transient_multi(&self.initial, &samples, EPSILON)
-            .map_err(AnalyticError::Ctmc)?;
         for (&t, dist) in samples.iter().zip(&dists) {
             let dot = |r: &[f64]| r.iter().zip(dist).map(|(ri, pi)| ri * pi).sum::<f64>();
             ms.record_exact(
@@ -466,6 +477,78 @@ mod tests {
         assert!(msg.contains("--lump"), "{msg}");
         assert!(msg.contains(&format!("{lumped_n} states")), "{msg}");
         assert!(msg.contains("use des/san"), "{msg}");
+    }
+
+    /// `f64::to_bits` of every measure of the micro solve, unlumped and
+    /// lumped, recorded when the base chain still took two walks (one for
+    /// unavailability, one for the sample times) on the zero-skipping
+    /// gather kernel. The one-walk solve on the split-row kernel must
+    /// reproduce them bit for bit.
+    #[test]
+    fn solve_bits_are_pinned() {
+        let pinned: [(bool, [(&str, u64); 8]); 2] = [
+            (
+                false,
+                [
+                    ("frac_domains_excluded@2.5", 0x3fb8_ba09_c152_57a9),
+                    ("frac_domains_excluded@5", 0x3fc9_39cd_9193_7b8e),
+                    ("load_per_host@2.5", 0x3fdc_e8be_9bee_5249),
+                    ("load_per_host@5", 0x3fd9_b184_f562_c374),
+                    ("replicas_running@2.5", 0x3fec_e8be_9bee_5249),
+                    ("replicas_running@5", 0x3fe9_b184_f562_c374),
+                    ("unavailability", 0x3fbb_eafd_e40f_5a0b),
+                    ("unreliability", 0x3fa1_b2c3_60ac_c015),
+                ],
+            ),
+            (
+                true,
+                [
+                    ("frac_domains_excluded@2.5", 0x3fb8_ba09_c152_57ac),
+                    ("frac_domains_excluded@5", 0x3fc9_39cd_9193_7b90),
+                    ("load_per_host@2.5", 0x3fdc_e8be_9bee_5255),
+                    ("load_per_host@5", 0x3fd9_b184_f562_c386),
+                    ("replicas_running@2.5", 0x3fec_e8be_9bee_5255),
+                    ("replicas_running@5", 0x3fe9_b184_f562_c386),
+                    ("unavailability", 0x3fbb_eafd_e40f_5a15),
+                    ("unreliability", 0x3fa1_b2c3_60ac_c027),
+                ],
+            ),
+        ];
+        for (lump, expected) in pinned {
+            let opts = AnalyticOptions {
+                max_states: 100_000,
+                lump,
+                threads: 1,
+            };
+            let analytic = ItuaAnalytic::with_options(&micro_params(), &opts).unwrap();
+            let estimates = analytic.solve(5.0, &[2.5, 5.0], 0.95).unwrap().estimates();
+            let got: Vec<(&str, u64)> = estimates
+                .iter()
+                .map(|e| (e.name.as_str(), e.ci.mean.to_bits()))
+                .collect();
+            assert_eq!(got, expected, "lump = {lump}");
+        }
+    }
+
+    #[test]
+    fn bad_horizons_are_errors() {
+        let analytic = ItuaAnalytic::new(&micro_params(), 100_000).unwrap();
+        for horizon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = analytic.solve(horizon, &[1.0], 0.95).unwrap_err();
+            assert!(
+                matches!(err, AnalyticError::BadHorizon(_)),
+                "{horizon}: {err}"
+            );
+        }
+        // Finite, but Λ·T overflows: the CTMC walk refuses it.
+        let err = analytic.solve(1e308, &[1.0], 0.95).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AnalyticError::Ctmc(CtmcError::PoissonMeanOverflow { .. })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,22 +3,27 @@
 //! A CTMC is stored as its infinitesimal generator `Q` (CSR). Provided
 //! solvers:
 //!
-//! * [`Ctmc::transient`] — state distribution at time `t` by
-//!   uniformization.
-//! * [`Ctmc::expected_accumulated_reward`] — `E[∫₀ᵗ r(X(s)) ds]`, the
-//!   quantity behind interval-of-time reward variables such as
-//!   unavailability.
-//! * [`Ctmc::steady_state`] — stationary distribution by Gauss–Seidel /
-//!   power iteration on the uniformized chain.
+//! * [`Ctmc::transient_with_reward`] — one uniformization walk that
+//!   returns both the accumulated reward `E[∫₀ᵀ r(X(s)) ds]` (the quantity
+//!   behind interval-of-time reward variables such as unavailability) and
+//!   the state distributions at any number of sample times.
+//!   [`Ctmc::transient`], [`Ctmc::transient_multi`] and
+//!   [`Ctmc::expected_accumulated_reward`] are thin wrappers over it.
+//! * [`Ctmc::steady_state`] — stationary distribution by power iteration
+//!   on the uniformized chain.
 //!
 //! All uniformization solvers run on one sparse kernel: a *gather*
 //! formulation of `y = xᵀ(I + Q/Λ)` over the transposed (incoming) CSR
 //! structure, with ping-ponged iterate buffers (no per-step allocation).
-//! Each output element accumulates its incoming terms in ascending-source
-//! order with the self-loop term merged in at `s == t` — the exact
-//! floating-point order the classic scatter formulation produces — so
-//! results are bit-identical to the scatter kernel, and to themselves at
-//! any thread count ([`Ctmc::with_threads`] splits output elements into
+//! Each output row is split at its diagonal, precomputed once per chain:
+//! the step sums the incoming terms from sources below the state, adds the
+//! self-loop term, then sums the terms from sources above it — two
+//! branch-free loops in ascending-source order, the exact floating-point
+//! order the classic scatter formulation produces. Zero-mass sources are
+//! not skipped: their terms are `+0.0` and the accumulator is never
+//! `−0.0`, so adding them leaves every bit unchanged. Results are
+//! therefore bit-identical to the scatter kernel, and to themselves at any
+//! thread count ([`Ctmc::with_threads`] splits output elements into
 //! contiguous chunks, each computed by exactly one thread).
 
 use crate::poisson::PoissonWeights;
@@ -51,6 +56,17 @@ pub enum CtmcError {
     /// The initial distribution was invalid (wrong length or not a
     /// probability vector).
     BadInitialDistribution,
+    /// A requested time was negative or not finite.
+    BadTime(f64),
+    /// The Poisson mean `Λ·t` of a uniformization walk exceeds 2⁵³, past
+    /// which consecutive step counts are no longer distinct `f64` values
+    /// (or it overflowed to infinity).
+    PoissonMeanOverflow {
+        /// Uniformization rate `Λ`.
+        rate: f64,
+        /// Requested time `t`.
+        time: f64,
+    },
 }
 
 impl fmt::Display for CtmcError {
@@ -71,6 +87,13 @@ impl fmt::Display for CtmcError {
                 )
             }
             CtmcError::BadInitialDistribution => write!(f, "invalid initial distribution"),
+            CtmcError::BadTime(t) => write!(f, "time {t} must be finite and nonnegative"),
+            CtmcError::PoissonMeanOverflow { rate, time } => write!(
+                f,
+                "uniformizing over time {time:e} at rate {rate:e} needs Λ·t = {:e} steps, \
+                 more than 2^53",
+                rate * time
+            ),
         }
     }
 }
@@ -105,6 +128,9 @@ pub struct Ctmc {
     /// entries of state `t` in ascending source order — the structure the
     /// gather kernel walks.
     incoming: CsrMatrix,
+    /// Per state `t`: the number of incoming sources `< t`, i.e. where the
+    /// diagonal self-term sits in row `t` of `incoming`.
+    diag_pos: Vec<usize>,
     /// Exit rate of each state (sum of outgoing rates).
     exit_rates: Vec<f64>,
     /// Worker threads for the uniformized step (1 = inline). Never
@@ -116,6 +142,10 @@ pub struct Ctmc {
 /// Below this state count the uniformized step always runs inline:
 /// per-step thread spawns would cost more than the matvec itself.
 const PARALLEL_CUTOFF: usize = 4096;
+
+/// Largest Poisson mean `Λ·t` a uniformization walk accepts: 2⁵³, the end
+/// of the range in which `f64` represents every step count exactly.
+const MAX_POISSON_MEAN: f64 = 9_007_199_254_740_992.0;
 
 impl Ctmc {
     /// Builds a CTMC from off-diagonal transition rates
@@ -136,11 +166,15 @@ impl Ctmc {
         }
         let rates = CsrMatrix::from_triplets(n, n, transitions)?;
         let incoming = rates.transpose();
+        let diag_pos = (0..n)
+            .map(|t| incoming.row_entries(t).0.partition_point(|&s| s < t))
+            .collect();
         let exit_rates = (0..n).map(|s| rates.row_sum(s)).collect();
         Ok(Ctmc {
             n,
             rates,
             incoming,
+            diag_pos,
             exit_rates,
             threads: 1,
         })
@@ -207,32 +241,30 @@ impl Ctmc {
 
     /// Computes `y[j] = (xᵀP)[start + j]` for one contiguous output chunk.
     ///
-    /// Each element accumulates its incoming terms in ascending-source
-    /// order, with the self-loop term `x[t]·(1 − E[t]/Λ)` merged in at the
-    /// position `s == t` — exactly the order in which the scatter
-    /// formulation (outer loop over sources) adds contributions to `y[t]`,
-    /// including its skip of zero-mass sources. Identical term order means
-    /// identical rounding, so gather and scatter agree bit for bit.
+    /// Each row is split at its diagonal: the terms `x[s]·r/Λ` of the
+    /// sources `s < t`, then the self-loop term `x[t]·(1 − E[t]/Λ)`, then
+    /// the sources `s > t` — exactly the order in which the scatter
+    /// formulation (outer loop over sources) adds contributions to `y[t]`.
+    /// The scatter skips zero-mass sources; here their terms are added,
+    /// but every term is `+0.0` or positive and the accumulator starts at
+    /// `+0.0`, so a zero term never changes it. Identical nonzero terms in
+    /// identical order mean identical rounding: gather and scatter agree
+    /// bit for bit.
     fn gather_chunk(&self, x: &[f64], lambda: f64, y: &mut [f64], start: usize) {
+        let gather = |acc: f64, sources: &[usize], rates: &[f64]| {
+            sources
+                .iter()
+                .zip(rates)
+                .fold(acc, |acc, (&s, &r)| acc + x[s] * r / lambda)
+        };
         for (j, yt) in y.iter_mut().enumerate() {
             let t = start + j;
-            let xt = x[t];
-            let mut acc = 0.0;
-            let mut self_term_pending = xt != 0.0;
-            for (s, r) in self.incoming.row(t) {
-                if self_term_pending && s > t {
-                    acc += xt * (1.0 - self.exit_rates[t] / lambda);
-                    self_term_pending = false;
-                }
-                let xs = x[s];
-                if xs != 0.0 {
-                    acc += xs * r / lambda;
-                }
-            }
-            if self_term_pending {
-                acc += xt * (1.0 - self.exit_rates[t] / lambda);
-            }
-            *yt = acc;
+            let (sources, rates) = self.incoming.row_entries(t);
+            let (below, above) = sources.split_at(self.diag_pos[t]);
+            let (r_below, r_above) = rates.split_at(self.diag_pos[t]);
+            let acc = gather(0.0, below, r_below);
+            let acc = acc + x[t] * (1.0 - self.exit_rates[t] / lambda);
+            *yt = gather(acc, above, r_above);
         }
     }
 
@@ -254,50 +286,90 @@ impl Ctmc {
         y
     }
 
-    /// Transient state distribution at time `t` from `initial`, to
-    /// truncation accuracy `epsilon`.
+    /// One uniformization walk from `initial`, to truncation accuracy
+    /// `epsilon`, returning the accumulated reward
+    /// `E[∫₀ᵀ r(X(s)) ds]` for per-state reward rates `reward` over
+    /// `[0, horizon]`, and the transient state distribution at each of
+    /// `times` (in request order).
+    ///
+    /// The DTMC iterates `xᵏ = π₀ Pᵏ` are computed once, up to the largest
+    /// step any result needs. Along the way the reward accumulates
+    /// `P[N ≥ k+1] · xᵏ·r` (`N` Poisson with mean `Λ·horizon`) and each
+    /// sample time its own Poisson-weighted window of iterates. Every
+    /// result sees the same floating-point operations in the same order as
+    /// a walk of its own would, so results are bit-identical to solving
+    /// each one separately; only the vector–matrix products are shared.
+    ///
+    /// A zero `horizon` asks for no reward (the result is `0.0`), and then
+    /// `reward` is not read. Dividing the reward by `horizon` yields the
+    /// interval-of-time (time-averaged) reward — e.g. unavailability when
+    /// `reward` is the indicator of improper states.
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::BadInitialDistribution`] if `initial` does not
-    /// sum to ~1 or has the wrong length.
-    pub fn transient(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>, CtmcError> {
-        let mut multi = self.transient_multi(initial, &[t], epsilon)?;
-        Ok(multi
-            .pop()
-            .expect("one time point in, one distribution out"))
-    }
-
-    /// Transient state distributions at several time points from one
-    /// uniformization: the DTMC iterates `xᵏ = π₀ Pᵏ` are walked once up to
-    /// the largest right-truncation point, and each requested time
-    /// accumulates its own Poisson-weighted window along the way.
+    /// * [`CtmcError::BadInitialDistribution`] if `initial` does not sum
+    ///   to ~1 or has the wrong length;
+    /// * [`CtmcError::BadTime`] if `horizon` or a sample time is negative
+    ///   or not finite;
+    /// * [`CtmcError::PoissonMeanOverflow`] if `Λ·t` exceeds 2⁵³ for one
+    ///   of them.
     ///
-    /// Equivalent to calling [`Ctmc::transient`] per time (bit-identical
-    /// results — the same floating-point operations run in the same order),
-    /// but the dominant cost (the vector–matrix products) is paid once
-    /// instead of once per time point.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ctmc::transient`].
-    pub fn transient_multi(
+    /// Panics if `horizon > 0` and `reward` does not have one entry per
+    /// state.
+    pub fn transient_with_reward(
         &self,
         initial: &[f64],
+        reward: &[f64],
+        horizon: f64,
         times: &[f64],
         epsilon: f64,
-    ) -> Result<Vec<Vec<f64>>, CtmcError> {
+    ) -> Result<(f64, Vec<Vec<f64>>), CtmcError> {
         self.check_initial(initial)?;
-        for &t in times {
-            assert!(t >= 0.0 && t.is_finite(), "time must be finite nonnegative");
-        }
         let lambda = self.uniformization_rate();
-        let weights: Vec<Option<PoissonWeights>> = times
+        let poisson = |t: f64| {
+            if !(t >= 0.0 && t.is_finite()) {
+                return Err(CtmcError::BadTime(t));
+            }
+            if lambda * t > MAX_POISSON_MEAN {
+                return Err(CtmcError::PoissonMeanOverflow {
+                    rate: lambda,
+                    time: t,
+                });
+            }
+            Ok((t > 0.0).then(|| PoissonWeights::new(lambda * t, epsilon)))
+        };
+        let reward_weights = poisson(horizon)?;
+        let weights = times
             .iter()
-            .map(|&t| (t > 0.0).then(|| PoissonWeights::new(lambda * t, epsilon)))
-            .collect();
-        let right_max = weights.iter().flatten().map(|w| w.right).max();
-        let mut acc: Vec<Vec<f64>> = times
+            .map(|&t| poisson(t))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // E[∫₀ᵀ r ds] = (1/Λ) Σ_{k≥0} P[N ≥ k+1] · xᵏ·r. Below the window's
+        // left end P[N ≥ k+1] is taken as 1 (and `1.0 * r` is `r` exactly);
+        // inside it, as the suffix sum of the truncated weights. The sum
+        // stops at the first zero tail.
+        let mut reward_left = 0;
+        let mut tails = Vec::new();
+        if let Some(w) = &reward_weights {
+            assert_eq!(reward.len(), self.n, "reward vector length");
+            let mut suffix = vec![0.0; w.weights.len() + 1];
+            for i in (0..w.weights.len()).rev() {
+                suffix[i] = suffix[i + 1] + w.weights[i];
+            }
+            reward_left = w.left;
+            tails = suffix[1..]
+                .iter()
+                .copied()
+                .take_while(|&tail| tail > 0.0)
+                .collect();
+        }
+        // Iterates `0..reward_end` contribute to the reward.
+        let reward_end = reward_left + tails.len();
+
+        let mut accumulated = 0.0;
+        let mut dists: Vec<Vec<f64>> = times
             .iter()
             .map(|&t| {
                 if t == 0.0 {
@@ -307,39 +379,81 @@ impl Ctmc {
                 }
             })
             .collect();
-        let Some(right_max) = right_max else {
-            return Ok(acc); // every requested time is 0
+        let last = reward_end
+            .checked_sub(1)
+            .into_iter()
+            .chain(weights.iter().flatten().map(|w| w.right))
+            .max();
+        let Some(last) = last else {
+            return Ok((accumulated / lambda, dists)); // nothing to walk
         };
         let mut x = initial.to_vec();
         let mut y = vec![0.0; self.n];
-        for k in 0..=right_max {
-            for (i, w) in weights.iter().enumerate() {
+        for k in 0..=last {
+            if k < reward_end {
+                let tail = k.checked_sub(reward_left).map_or(1.0, |i| tails[i]);
+                let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
+                accumulated += tail * r;
+            }
+            for (w, dist) in weights.iter().zip(&mut dists) {
                 let Some(w) = w else { continue };
                 if k >= w.left && k <= w.right {
                     let wk = w.weights[k - w.left];
-                    for s in 0..self.n {
-                        acc[i][s] += wk * x[s];
+                    for (d, &xs) in dist.iter_mut().zip(&x) {
+                        *d += wk * xs;
                     }
                 }
             }
-            if k < right_max {
+            if k < last {
                 self.uniformized_step_into(&x, lambda, &mut y);
                 std::mem::swap(&mut x, &mut y);
             }
         }
-        Ok(acc)
+        Ok((accumulated / lambda, dists))
     }
 
-    /// Expected accumulated reward `E[∫₀ᵗ r(X(s)) ds]` for per-state reward
-    /// rates `reward`, via the standard uniformization summation.
-    ///
-    /// Dividing by `t` yields the interval-of-time (time-averaged) reward —
-    /// e.g. unavailability when `reward` is the indicator of improper
-    /// states.
+    /// Transient state distribution at time `t` from `initial`, to
+    /// truncation accuracy `epsilon`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Ctmc::transient`].
+    /// As [`Ctmc::transient_with_reward`].
+    pub fn transient(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>, CtmcError> {
+        let mut multi = self.transient_multi(initial, &[t], epsilon)?;
+        Ok(multi
+            .pop()
+            .expect("one time point in, one distribution out"))
+    }
+
+    /// Transient state distributions at several time points from one
+    /// uniformization walk ([`Ctmc::transient_with_reward`] with no
+    /// reward): bit-identical to calling [`Ctmc::transient`] per time, but
+    /// the vector–matrix products are paid once instead of once per time.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctmc::transient_with_reward`].
+    pub fn transient_multi(
+        &self,
+        initial: &[f64],
+        times: &[f64],
+        epsilon: f64,
+    ) -> Result<Vec<Vec<f64>>, CtmcError> {
+        self.transient_with_reward(initial, &[], 0.0, times, epsilon)
+            .map(|(_, dists)| dists)
+    }
+
+    /// Expected accumulated reward `E[∫₀ᵗ r(X(s)) ds]` for per-state reward
+    /// rates `reward` ([`Ctmc::transient_with_reward`] with no sample
+    /// times).
+    ///
+    /// # Errors
+    ///
+    /// As [`Ctmc::transient_with_reward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > 0` and `reward` does not have one entry per state.
     pub fn expected_accumulated_reward(
         &self,
         initial: &[f64],
@@ -347,46 +461,8 @@ impl Ctmc {
         t: f64,
         epsilon: f64,
     ) -> Result<f64, CtmcError> {
-        self.check_initial(initial)?;
-        assert_eq!(reward.len(), self.n, "reward vector length");
-        assert!(t >= 0.0 && t.is_finite());
-        if t == 0.0 {
-            return Ok(0.0);
-        }
-        let lambda = self.uniformization_rate();
-        // E[∫₀ᵗ r ds] = (1/Λ) Σ_{k≥0} P[N ≥ k+1] · xᵏ·r  where xᵏ = π₀ Pᵏ.
-        // Compute tail probabilities from the truncated weights.
-        let weights = PoissonWeights::new(lambda * t, epsilon);
-        // tail[k] = P[N >= k+1] for k = 0.. right
-        // Build cumulative from the truncated window (mass outside is ~ε).
-        let mut acc = 0.0;
-        let mut x = initial.to_vec();
-        let mut y = vec![0.0; self.n];
-        // Precompute suffix sums of weights: P[N ≥ k+1] for window indices.
-        let mut suffix = vec![0.0; weights.weights.len() + 1];
-        for i in (0..weights.weights.len()).rev() {
-            suffix[i] = suffix[i + 1] + weights.weights[i];
-        }
-        // For k < left: P[N ≥ k+1] ≈ 1.
-        for _ in 0..weights.left {
-            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
-            acc += r;
-            self.uniformized_step_into(&x, lambda, &mut y);
-            std::mem::swap(&mut x, &mut y);
-        }
-        for i in 0..weights.weights.len() {
-            let tail = suffix[i + 1];
-            if tail <= 0.0 {
-                break;
-            }
-            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
-            acc += tail * r;
-            if i + 1 < weights.weights.len() {
-                self.uniformized_step_into(&x, lambda, &mut y);
-                std::mem::swap(&mut x, &mut y);
-            }
-        }
-        Ok(acc / lambda)
+        self.transient_with_reward(initial, reward, t, &[], epsilon)
+            .map(|(accumulated, _)| accumulated)
     }
 
     /// Stationary distribution `π` with `πQ = 0`, `Σπ = 1`, by power
@@ -792,6 +868,210 @@ mod tests {
                 );
             }
             x = gather;
+        }
+    }
+
+    /// The accumulated-reward loop as it stood before the single walk,
+    /// stepped by the scatter oracle: the reference the walk's reward is
+    /// pinned to bit for bit.
+    fn oracle_accumulated_reward(
+        ctmc: &Ctmc,
+        initial: &[f64],
+        reward: &[f64],
+        t: f64,
+        epsilon: f64,
+    ) -> f64 {
+        if t == 0.0 {
+            return 0.0;
+        }
+        let lambda = ctmc.uniformization_rate();
+        let weights = PoissonWeights::new(lambda * t, epsilon);
+        let mut acc = 0.0;
+        let mut x = initial.to_vec();
+        let mut suffix = vec![0.0; weights.weights.len() + 1];
+        for i in (0..weights.weights.len()).rev() {
+            suffix[i] = suffix[i + 1] + weights.weights[i];
+        }
+        for _ in 0..weights.left {
+            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
+            acc += r;
+            x = ctmc.uniformized_step_scatter(&x, lambda);
+        }
+        for i in 0..weights.weights.len() {
+            let tail = suffix[i + 1];
+            if tail <= 0.0 {
+                break;
+            }
+            let r: f64 = x.iter().zip(reward).map(|(p, r)| p * r).sum();
+            acc += tail * r;
+            if i + 1 < weights.weights.len() {
+                x = ctmc.uniformized_step_scatter(&x, lambda);
+            }
+        }
+        acc / lambda
+    }
+
+    /// The multi-time transient loop as it stood before the single walk,
+    /// stepped by the scatter oracle.
+    fn oracle_transient_multi(
+        ctmc: &Ctmc,
+        initial: &[f64],
+        times: &[f64],
+        epsilon: f64,
+    ) -> Vec<Vec<f64>> {
+        let lambda = ctmc.uniformization_rate();
+        let weights: Vec<Option<PoissonWeights>> = times
+            .iter()
+            .map(|&t| (t > 0.0).then(|| PoissonWeights::new(lambda * t, epsilon)))
+            .collect();
+        let mut acc: Vec<Vec<f64>> = times
+            .iter()
+            .map(|&t| {
+                if t == 0.0 {
+                    initial.to_vec()
+                } else {
+                    vec![0.0; ctmc.n]
+                }
+            })
+            .collect();
+        let Some(right_max) = weights.iter().flatten().map(|w| w.right).max() else {
+            return acc;
+        };
+        let mut x = initial.to_vec();
+        for k in 0..=right_max {
+            for (i, w) in weights.iter().enumerate() {
+                let Some(w) = w else { continue };
+                if k >= w.left && k <= w.right {
+                    let wk = w.weights[k - w.left];
+                    for s in 0..ctmc.n {
+                        acc[i][s] += wk * x[s];
+                    }
+                }
+            }
+            if k < right_max {
+                x = ctmc.uniformized_step_scatter(&x, lambda);
+            }
+        }
+        acc
+    }
+
+    /// A stiff chain in the shape of the ITUA model's recovery stand-in:
+    /// slow forward transitions along a line and rate-1000 returns from
+    /// every odd state. Started from state 0, the early iterates give zero
+    /// mass to every state not yet reached.
+    fn stiff_chain(n: usize) -> Ctmc {
+        let mut rates = Vec::new();
+        for s in 0..n - 1 {
+            rates.push((s, s + 1, 0.7 + (s % 3) as f64 / 10.0));
+            if s % 2 == 1 {
+                rates.push((s, s - 1, 1000.0));
+            }
+        }
+        Ctmc::from_rates(n, &rates).unwrap()
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (s, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, state {s}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn walk_is_bit_identical_to_the_two_loop_oracles() {
+        let stiff = stiff_chain(40);
+        assert!(stiff.uniformization_rate() * 2.0 > 2000.0);
+        let mut stiff_init = vec![0.0; 40];
+        stiff_init[0] = 1.0;
+        let random = pseudo_random_chain(97, 5, 20030622);
+        let mut random_init = vec![0.0; 97];
+        random_init[13] = 0.5;
+        random_init[60] = 0.5;
+        let random_reward: Vec<f64> = (0..97).map(|s| (s % 4) as f64 / 3.0).collect();
+        let stiff_reward: Vec<f64> = (0..40).map(|s| f64::from(s % 2 == 0)).collect();
+        let check =
+            |case: &str, ctmc: &Ctmc, init: &[f64], reward: &[f64], horizon, times: &[f64]| {
+                let eps = 1e-10;
+                let (acc, dists) = ctmc
+                    .transient_with_reward(init, reward, horizon, times, eps)
+                    .unwrap();
+                let want_acc = oracle_accumulated_reward(ctmc, init, reward, horizon, eps);
+                let want_dists = oracle_transient_multi(ctmc, init, times, eps);
+                assert_eq!(
+                    acc.to_bits(),
+                    want_acc.to_bits(),
+                    "{case}: {acc} vs {want_acc}"
+                );
+                assert_eq!(dists.len(), times.len());
+                for (d, w) in dists.iter().zip(&want_dists) {
+                    assert_bits_eq(d, w, case);
+                }
+                // The wrappers are the same walk.
+                let reward_only = ctmc
+                    .expected_accumulated_reward(init, reward, horizon, eps)
+                    .unwrap();
+                assert_eq!(reward_only.to_bits(), want_acc.to_bits(), "{case}");
+                let multi = ctmc.transient_multi(init, times, eps).unwrap();
+                for (d, w) in multi.iter().zip(&want_dists) {
+                    assert_bits_eq(d, w, &format!("{case}, transient_multi"));
+                }
+            };
+        let times = [0.0, 0.01, 0.5, 2.0, 2.0];
+        check("stiff", &stiff, &stiff_init, &stiff_reward, 2.0, &times);
+        check(
+            "stiff, sample past horizon",
+            &stiff,
+            &stiff_init,
+            &stiff_reward,
+            0.3,
+            &[1.5],
+        );
+        check(
+            "random",
+            &random,
+            &random_init,
+            &random_reward,
+            3.5,
+            &[0.25, 3.5],
+        );
+        check(
+            "random, reward only",
+            &random,
+            &random_init,
+            &random_reward,
+            4.0,
+            &[],
+        );
+    }
+
+    #[test]
+    fn bad_times_are_errors() {
+        let ctmc = two_state(1.0, 3.0);
+        let init = [1.0, 0.0];
+        for t in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(ctmc.transient(&init, t, 1e-10), Err(CtmcError::BadTime(_))),
+                "sample time {t}"
+            );
+            assert!(
+                matches!(
+                    ctmc.expected_accumulated_reward(&init, &[0.0, 1.0], t, 1e-10),
+                    Err(CtmcError::BadTime(_))
+                ),
+                "horizon {t}"
+            );
+        }
+        // Finite times whose Poisson mean Λ·t leaves the exact-integer
+        // range of f64, or overflows to infinity.
+        let lambda = ctmc.uniformization_rate();
+        for t in [2.0 * MAX_POISSON_MEAN / lambda, 1e308] {
+            let err = ctmc.transient(&init, t, 1e-10).unwrap_err();
+            assert!(matches!(err, CtmcError::PoissonMeanOverflow { .. }), "{t}");
+            assert!(err.to_string().contains("more than 2^53"), "{err}");
+            let err = ctmc
+                .transient_with_reward(&init, &[0.0, 1.0], t, &[1.0], 1e-10)
+                .unwrap_err();
+            assert!(matches!(err, CtmcError::PoissonMeanOverflow { .. }), "{t}");
         }
     }
 

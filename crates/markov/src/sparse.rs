@@ -195,16 +195,49 @@ impl CsrMatrix {
         y
     }
 
-    /// Returns the transpose.
+    /// Column indices and values of one row, as parallel slices in
+    /// ascending column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn row_entries(&self, row: usize) -> (&[usize], &[f64]) {
+        let span = self.row_ptr[row]..self.row_ptr[row + 1];
+        (&self.col_idx[span.clone()], &self.values[span])
+    }
+
+    /// Returns the transpose, by counting sort in O(nnz): count the
+    /// entries per column, prefix-sum the counts into row pointers, then
+    /// place the entries walking the source rows in ascending order, so
+    /// every output row comes out sorted by column. The source holds no
+    /// duplicates and no zeros, so the result equals the triplet-built
+    /// transpose exactly.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
         for r in 0..self.rows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                triplets.push((self.col_idx[k], r, self.values[k]));
+                let slot = &mut next[self.col_idx[k]];
+                col_idx[*slot] = r;
+                values[*slot] = self.values[k];
+                *slot += 1;
             }
         }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transpose of a valid matrix is valid")
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Sum of the entries in `row`.
@@ -282,6 +315,38 @@ mod tests {
         assert_eq!(t.get(2, 0), 5.0);
         assert_eq!(t.get(0, 1), 1.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn counting_sort_transpose_equals_triplet_transpose() {
+        let mut state = 19_960_916_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        // Duplicates, empty rows and empty columns included.
+        let (rows, cols) = (61, 47);
+        let triplets: Vec<(usize, usize, f64)> = (0..400)
+            .map(|_| {
+                (
+                    next() % rows,
+                    next() % cols,
+                    (next() % 97) as f64 / 8.0 + 0.5,
+                )
+            })
+            .collect();
+        let m = CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+        let mut flipped = Vec::with_capacity(m.nnz());
+        for r in 0..rows {
+            for (c, v) in m.row(r) {
+                flipped.push((c, r, v));
+            }
+        }
+        let oracle = CsrMatrix::from_triplets(cols, rows, &flipped).unwrap();
+        assert_eq!(m.transpose(), oracle);
+        assert_eq!(m.transpose().transpose(), m);
     }
 
     #[test]
